@@ -10,6 +10,7 @@ document, command, and seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -58,11 +59,10 @@ def _cmd_paths(doc: dsl.Document, options: dict) -> tuple[str, int]:
     pd = _circuit_diagram(doc, options["circuit"], options["input"])
     output = options.get("output")
     if output is not None:
-        if not 0 <= output < doc.dim:
-            raise CommandError(
-                EXIT_SEMANTIC, f"output index {output} out of range for dimension {doc.dim}"
-            )
-        pd = pathsum.PathDiagram(pd.dim, pd.layers, pd.input, output)
+        try:
+            pd = dataclasses.replace(pd, output=output)
+        except ValueError as exc:
+            raise CommandError(EXIT_SEMANTIC, str(exc)) from exc
     try:
         paths = pathsum.enumerate_paths(pd)
     except pathsum.PathCapExceeded as exc:
@@ -208,8 +208,7 @@ def _build_arg_parser() -> argparse.ArgumentParser:
         seed={"required": True, "type": int},
     )
     add("verify", circuit={"required": True})
-    contract = add("contract")
-    contract.add_argument("--network", action="store_true", help="contract the declared network (default action)")
+    add("contract")
     add("dot", circuit={"required": True}, input={"required": True, "type": int})
     add(
         "hadamard-test",

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensornet
+from .linalg import _SQRT1_2
 
 __all__ = [
     "Diagnostic",
@@ -42,8 +43,6 @@ __all__ = [
     "pretty_print",
     "format_complex",
 ]
-
-_SQRT1_2 = 0.7071067811865476
 
 _UNSIGNED = r"(?:1/sqrt2|\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
 _RE_BOTH = re.compile(rf"(?P<re>[+-]?{_UNSIGNED})(?P<sign>[+-])(?P<im>{_UNSIGNED})?i")

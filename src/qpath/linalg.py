@@ -17,6 +17,9 @@ import numpy as np
 #: Tolerance on the squared norm for a state to count as normalized.
 NORM_TOL = 1e-9
 
+#: 1/sqrt(2), the balanced-splitter amplitude (equal to math.sqrt(0.5)).
+_SQRT1_2 = 0.7071067811865476
+
 __all__ = [
     "NORM_TOL",
     "ShapeError",

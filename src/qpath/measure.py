@@ -9,12 +9,12 @@ state) through an inverse-CDF lookup with right-closed bins, so identical
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
+from .linalg import _SQRT1_2
 from .formatting import sci12
 from .tensornet import Network, Tensor
 
@@ -33,8 +33,6 @@ __all__ = [
     "TeleportCheck",
     "teleport_check",
 ]
-
-_SQRT1_2 = math.sqrt(0.5)
 
 #: Balanced beam splitter: |0> and |1> go to equal-weight superpositions,
 #: with a sign flip on the transmitted |1> component.

@@ -11,6 +11,12 @@ and is enforced by the test suite against the matrix route.
 Zero-weight paths are enumerated, never pruned: the correspondence between
 paths and product terms covers vanishing terms too, and pruning would break
 the bijection with walks through the laboratory diagram.
+
+Weights are computed in numpy blocks of up to ``_BLOCK`` paths, equal bit
+for bit to a scalar product loop. Sums (``path_sum_amplitude``) stream
+those blocks and hold one at a time; listings (``enumerate_paths`` and the
+reports built on it) materialize one ``Path`` object per path. Both stop at
+the same path cap.
 """
 
 from __future__ import annotations
@@ -43,12 +49,17 @@ __all__ = [
 #: Sentinel for an unpinned output: enumerate over all final indices.
 FREE = None
 
-#: Path enumeration is materialized; fail loudly past this many paths.
+#: Fail loudly past this many paths. Listings materialize a ``Path`` per
+#: path, so the cap bounds their memory; sums stream in blocks of bounded
+#: memory, and the cap bounds their running time.
 DEFAULT_PATH_CAP = 10**6
+
+#: Paths per weight block computed by one round of array operations.
+_BLOCK = 2**14
 
 
 class PathCapExceeded(RuntimeError):
-    """Enumerating this diagram would materialize more paths than the cap."""
+    """The diagram has more paths than the cap allows to list or sum."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,13 +122,65 @@ def _require_layers(pd: PathDiagram) -> None:
         raise ValueError("an empty composition has no diagram")
 
 
-def _path_weight(pd: PathDiagram, indices: tuple[int, ...]) -> complex:
-    w = 1 + 0j
-    prev = pd.input
-    for layer, k in zip(pd.layers, indices):
-        w *= layer[k, prev]
-        prev = k
-    return complex(w)
+def _check_cap(pd: PathDiagram, cap: int) -> None:
+    d, L = pd.dim, pd.n_layers
+    count = d**L if pd.output is FREE else d ** (L - 1)
+    if count > cap:
+        raise PathCapExceeded(
+            f"diagram has {count} paths, exceeding the cap of {cap}"
+        )
+
+
+def _weight_blocks(pd: PathDiagram):
+    """Yield the weights of ``pd``'s paths as float64 ``(re, im)`` arrays.
+
+    Paths come in lexicographic index order, as ``enumerate_paths`` lists
+    them, in fresh arrays that the caller owns. The high-order indices run
+    in Python with scalar products. The low ``r`` indices vary within a
+    block of d**r paths; ``r`` is the largest count with d**r <= ``_BLOCK``,
+    except that a FREE output's last index always varies within a block.
+
+    A block grows one layer at a time: each step multiplies every partial
+    weight by the layer entries it can continue into, by broadcasting.
+    Partial weights keep the newest index on axis 0, so every step's inner
+    loop runs along the long trailing axis; one transpose per block restores
+    lexicographic order.
+
+    Each step computes ``re*br - im*bi, re*bi + im*br``, the formula of a
+    scalar complex product, so every weight equals the scalar loop's
+    ``w = 1; w *= layer[k, prev]`` bit for bit. numpy's vectorized complex
+    multiply can differ from it in the last bit.
+    """
+    d, L = pd.dim, pd.n_layers
+    pinned = pd.output is not FREE
+    n = L - 1 if pinned else L  # index positions that vary
+    r = 0 if pinned else 1
+    while r < n and d ** (r + 1) <= _BLOCK:
+        r += 1
+    h = n - r
+    parts = [(m.real.copy(), m.imag.copy()) for m in pd.layers]
+    # The rows each block layer can continue into: every k, or a pinned output.
+    rows = [slice(None)] * (L - h)
+    if pinned:
+        rows[-1] = slice(pd.output, pd.output + 1)
+
+    for head in product(range(d), repeat=h):
+        re, im, prev = 1.0, 0.0, pd.input
+        for (mr, mi), k in zip(parts, head):
+            br, bi = mr[k, prev], mi[k, prev]
+            re, im = re * br - im * bi, re * bi + im * br
+            prev = k
+        re, im = np.array([[re]]), np.array([[im]])
+        prevs = slice(prev, prev + 1)
+        for (mr, mi), ks in zip(parts[h:], rows):
+            br, bi = mr[ks, prevs, None], mi[ks, prevs, None]
+            re, im = re * br - im * bi, re * bi + im * br
+            re, im = re.reshape(len(re), -1), im.reshape(len(im), -1)
+            prevs = slice(None)
+        yield (
+            re.reshape((d,) * r).transpose().reshape(-1),
+            im.reshape((d,) * r).transpose().reshape(-1),
+        )
 
 
 def enumerate_paths(pd: PathDiagram, cap: int = DEFAULT_PATH_CAP) -> list[Path]:
@@ -128,21 +191,16 @@ def enumerate_paths(pd: PathDiagram, cap: int = DEFAULT_PATH_CAP) -> list[Path]:
     there are d**L. Zero-weight paths are included.
     """
     _require_layers(pd)
+    _check_cap(pd, cap)
     d, L = pd.dim, pd.n_layers
-    count = d**L if pd.output is FREE else d ** (L - 1)
-    if count > cap:
-        raise PathCapExceeded(
-            f"diagram has {count} paths, exceeding the cap of {cap}"
-        )
-    paths = []
-    if pd.output is FREE:
-        for indices in product(range(d), repeat=L):
-            paths.append(Path(indices, _path_weight(pd, indices)))
-    else:
-        for interior in product(range(d), repeat=L - 1):
-            indices = interior + (pd.output,)
-            paths.append(Path(indices, _path_weight(pd, indices)))
-    return paths
+    tail = () if pd.output is FREE else (pd.output,)
+    indices = product(range(d), repeat=L - len(tail))
+    weights = (
+        complex(a, b)
+        for re, im in _weight_blocks(pd)
+        for a, b in zip(re.tolist(), im.tolist())
+    )
+    return [Path(k + tail, w) for k, w in zip(indices, weights)]
 
 
 def path_sum_amplitude(
@@ -152,17 +210,17 @@ def path_sum_amplitude(
 
     Equals the matrix-product amplitude <j|UL...U1|i> up to float
     reassociation; the test suite holds the two routes together at 1e-10.
+    The weights are added in path order, left to right, one block at a time.
     """
     _require_layers(pd)
-    if not 0 <= int(output_index) < pd.dim:
-        raise ValueError(
-            f"output index {output_index} out of range for dimension {pd.dim}"
-        )
-    pinned = dataclasses.replace(pd, output=int(output_index))
-    total = 0j
-    for path in enumerate_paths(pinned, cap=cap):
-        total += path.weight
-    return total
+    pinned = dataclasses.replace(pd, output=output_index)
+    _check_cap(pinned, cap)
+    total_re = total_im = 0.0
+    for re, im in _weight_blocks(pinned):
+        # np.add.accumulate adds in sequence; np.sum would add pairwise.
+        total_re = np.add.accumulate(np.concatenate(([total_re], re)))[-1]
+        total_im = np.add.accumulate(np.concatenate(([total_im], im)))[-1]
+    return complex(total_re, total_im)
 
 
 def composition_matrix(pd: PathDiagram) -> np.ndarray:
@@ -196,11 +254,7 @@ def interference_report(
     tol. Anything in between is mixed.
     """
     _require_layers(pd)
-    if not 0 <= int(output_index) < pd.dim:
-        raise ValueError(
-            f"output index {output_index} out of range for dimension {pd.dim}"
-        )
-    pinned = dataclasses.replace(pd, output=int(output_index))
+    pinned = dataclasses.replace(pd, output=output_index)
     paths = tuple(enumerate_paths(pinned))
     total = complex(sum(p.weight for p in paths))
     magnitude = abs(total)
@@ -212,7 +266,7 @@ def interference_report(
     else:
         verdict = "mixed"
     return InterferenceReport(
-        output=int(output_index),
+        output=pinned.output,
         paths=paths,
         total=total,
         magnitude=magnitude,

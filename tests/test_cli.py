@@ -63,6 +63,13 @@ class TestRunCommand:
         text, _ = cli.run_command(doc, "paths", {"circuit": "mz", "input": 0, "output": None})
         assert len(text.splitlines()) == 8
 
+    def test_paths_output_out_of_range(self):
+        doc = parse_file(MZ)
+        options = {"circuit": "mz", "input": 0, "output": 2}
+        with pytest.raises(cli.CommandError, match=r"^output index 2 out of range for dimension 2$") as exc:
+            cli.run_command(doc, "paths", options)
+        assert exc.value.exit_code == cli.EXIT_SEMANTIC
+
     def test_verify_pass(self):
         doc = parse_file(MZ)
         text, code = cli.run_command(doc, "verify", {"circuit": "mz"})

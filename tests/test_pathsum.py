@@ -1,9 +1,14 @@
 """Path enumeration and summation against the matrix-product route."""
 
+import tracemalloc
+from itertools import product
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qpath import linalg
+from qpath import linalg, pathsum
 from qpath.measure import HADAMARD, MIRROR
 from qpath.pathsum import (
     FREE,
@@ -141,6 +146,128 @@ class TestPathSum:
         x_after_h = PathDiagram(2, (HADAMARD, MIRROR), 0)
         u = composition_matrix(x_after_h)
         assert linalg.max_abs_diff(u, linalg.matmul(MIRROR, HADAMARD)) == 0.0
+
+    def test_cap_enforced(self):
+        pd = PathDiagram(3, tuple(np.eye(3) for _ in range(5)), 0)
+        with pytest.raises(PathCapExceeded, match=r"^diagram has 81 paths, exceeding the cap of 80$"):
+            path_sum_amplitude(pd, 1, cap=80)  # 3**4 paths into each output
+        assert path_sum_amplitude(pd, 0, cap=81) == 1
+
+    def test_streams_in_bounded_memory(self):
+        pd = PathDiagram(2, (HADAMARD,) * 21, 0)
+        tracemalloc.start()
+        try:
+            amplitude = path_sum_amplitude(pd, 1, cap=2**20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(amplitude - composition_matrix(pd)[1, 0]) <= 1e-10
+        assert peak < 2**22  # 2**20 paths; one Path object alone takes ~100 bytes
+
+
+def oracle_paths(pd):
+    """The scalar loop the block engine replaced: (indices, weight) in path order."""
+    d, L = pd.dim, pd.n_layers
+    if pd.output is FREE:
+        all_indices = list(product(range(d), repeat=L))
+    else:
+        all_indices = [k + (pd.output,) for k in product(range(d), repeat=L - 1)]
+    paths = []
+    for indices in all_indices:
+        w = 1 + 0j
+        prev = pd.input
+        for layer, k in zip(pd.layers, indices):
+            w *= layer[k, prev]
+            prev = k
+        paths.append((indices, complex(w)))
+    return paths
+
+
+def oracle_sum(pd, j):
+    total = 0j
+    for _, w in oracle_paths(PathDiagram(pd.dim, pd.layers, pd.input, j)):
+        total += w
+    return total
+
+
+def exact(weights):
+    """Equal lists mean equal bits: float repr round-trips and shows signed zeros."""
+    return [repr(w) for w in weights]
+
+
+def assert_engine_matches_oracle(pd):
+    expected = oracle_paths(pd)
+    paths = enumerate_paths(pd)
+    assert [p.indices for p in paths] == [k for k, _ in expected]
+    assert exact(p.weight for p in paths) == exact(w for _, w in expected)
+    for j in range(pd.dim):
+        assert exact([path_sum_amplitude(pd, j)]) == exact([oracle_sum(pd, j)])
+
+
+def random_layers(rng, d, L):
+    """Dense complex layers, with signed permutations mixed in for exact zeros."""
+    layers = []
+    for t in range(L):
+        if t % 2:
+            signs = rng.choice([-1.0, 1.0], size=(d, d))
+            layers.append(np.eye(d)[rng.permutation(d)] * signs + 0j)
+        else:
+            layers.append(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return tuple(layers)
+
+
+class TestBlockEngine:
+    """Weights, sums and order equal the scalar loop's exactly, not within a tolerance."""
+
+    @pytest.mark.parametrize("block", [1, 4, pathsum._BLOCK])
+    @pytest.mark.parametrize("d,L", [(2, 1), (3, 1), (2, 5), (3, 4), (4, 3)])
+    def test_matches_scalar_loop(self, monkeypatch, block, d, L):
+        monkeypatch.setattr(pathsum, "_BLOCK", block)
+        layers = random_layers(np.random.default_rng(10 * d + L), d, L)
+        for output in (FREE, d - 1):
+            assert_engine_matches_oracle(PathDiagram(d, layers, d // 2, output))
+
+    def test_several_blocks(self, monkeypatch):
+        monkeypatch.setattr(pathsum, "_BLOCK", 4)
+        pd = PathDiagram(2, random_layers(np.random.default_rng(7), 2, 6), 1)
+        blocks = list(pathsum._weight_blocks(pd))
+        assert [len(re) for re, _ in blocks] == [4] * 16
+        assert_engine_matches_oracle(pd)
+
+    def test_single_layer(self):
+        # L = 1: a pinned output leaves no index free to vary within a block
+        layer = np.array([[1, 2j], [-3, 0.5]])
+        assert [p.weight for p in enumerate_paths(PathDiagram(2, (layer,), 1))] == [2j, 0.5]
+        assert [p.weight for p in enumerate_paths(PathDiagram(2, (layer,), 1, 0))] == [2j]
+        assert path_sum_amplitude(PathDiagram(2, (layer,), 1), 1) == 0.5
+
+    def test_zero_weights_from_permutation_layers(self):
+        pd = PathDiagram(3, (np.eye(3)[[2, 0, 1]], -np.eye(3)[[1, 2, 0]]), 0)
+        weights = [p.weight for p in enumerate_paths(pd)]
+        assert weights.count(0) == 8
+        assert_engine_matches_oracle(pd)
+
+
+_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.7071067811865476]),
+    st.floats(-1e3, 1e3, allow_nan=False),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_engine_matches_scalar_loop_property(data):
+    d = data.draw(st.integers(1, 4), label="d")
+    L = data.draw(st.integers(1, 6), label="L")
+    parts = data.draw(st.lists(_ENTRY, min_size=2 * L * d * d, max_size=2 * L * d * d))
+    values = np.array(parts).reshape(2, L, d, d)
+    layers = np.empty((L, d, d), dtype=complex)
+    layers.real, layers.imag = values  # keeps signed zeros, which adding 1j * x would not
+    i = data.draw(st.integers(0, d - 1), label="input")
+    output = data.draw(st.one_of(st.none(), st.integers(0, d - 1)), label="output")
+    block = data.draw(st.sampled_from([1, 4, pathsum._BLOCK]), label="block")
+    with mock.patch.object(pathsum, "_BLOCK", block):
+        assert_engine_matches_oracle(PathDiagram(d, tuple(layers), i, output))
 
 
 class TestInterference:
