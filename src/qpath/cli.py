@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -93,16 +94,25 @@ def _cmd_verify(doc: dsl.Document, options: dict) -> tuple[str, int]:
     if name not in doc.circuits:
         raise CommandError(EXIT_SEMANTIC, f"unknown circuit '{name}'")
     layers = tuple(doc.circuit_layers(name))
+    diagrams = [pathsum.PathDiagram(doc.dim, layers, i) for i in range(doc.dim)]
     worst = 0.0
-    for i in range(doc.dim):
-        pd = pathsum.PathDiagram(doc.dim, layers, i)
-        u = pathsum.composition_matrix(pd)
-        for j in range(doc.dim):
-            try:
-                amplitude = pathsum.path_sum_amplitude(pd, j)
-            except pathsum.PathCapExceeded as exc:
-                raise CommandError(EXIT_CAP, str(exc)) from exc
-            worst = max(worst, abs(amplitude - u[j, i]))
+    # Overflow shows up as a non-finite deviation below, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = pathsum.composition_matrix(diagrams[0])
+        for i, pd in enumerate(diagrams):
+            for j in range(doc.dim):
+                try:
+                    amplitude = pathsum.path_sum_amplitude(pd, j)
+                except pathsum.PathCapExceeded as exc:
+                    raise CommandError(EXIT_CAP, str(exc)) from exc
+                deviation = abs(amplitude - u[j, i])
+                if not math.isfinite(deviation):
+                    raise CommandError(
+                        EXIT_SEMANTIC,
+                        f"amplitude (output {j}, input {i}) overflows double precision: "
+                        f"path sum {pair12(amplitude)}, matrix product {pair12(u[j, i])}",
+                    )
+                worst = max(worst, deviation)
     ok = worst <= VERIFY_TOL
     text = f"{'PASS' if ok else 'FAIL'} max_deviation {sci12(worst)}\n"
     return text, EXIT_OK if ok else EXIT_VERIFY

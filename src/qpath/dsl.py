@@ -12,7 +12,8 @@ Grammar, one declaration per line, ``#`` starts a comment:
 
 Complex literals are ``a``, ``bi``, ``a+bi``, ``a-bi``; reals are decimals
 (scientific notation allowed) or the shorthand ``1/sqrt2``, which parses to
-the double closest to 0.7071067811865476. Gate nodes expose legs ``in`` and
+the double closest to 0.7071067811865476. A literal beyond the double range
+(``1e999``) is an error, not an infinity. Gate nodes expose legs ``in`` and
 ``out``; state nodes expose ``out``. Circuit tokens are listed in time
 order: the first gate acts first. Every referenced name must be declared on
 an earlier line, names are unique per kind, and a document has at most one
@@ -25,6 +26,7 @@ document is produced.
 
 from __future__ import annotations
 
+import cmath
 import re
 from dataclasses import dataclass, field
 
@@ -461,9 +463,10 @@ class _Parser:
         ok = True
         for item_text, item_col in items:
             value = parse_complex_literal(item_text)
-            if value is None:
+            if value is None or not cmath.isfinite(value):
+                problem = "malformed" if value is None else "non-finite"
                 self.error(
-                    f"malformed complex literal '{item_text.strip()}'", lineno, item_col, raw
+                    f"{problem} complex literal '{item_text.strip()}'", lineno, item_col, raw
                 )
                 ok = False
             else:

@@ -7,9 +7,11 @@ result. A self-loop on a single node is ordinary wiring and yields a trace.
 
 Networks are values: the surgery operations (``cut_edge``, ``wire``,
 ``insert_ket``, ``insert_bra``, ``add_node``) all return new networks and
-never mutate the receiver. ``Network.contract`` eliminates one edge at a
-time; ``brute_force_contract`` is an intentionally naive all-index-assignment
-summation kept as an independent oracle, sharing no code with the engine.
+never mutate the receiver. ``Network.contract`` merges components pair by
+pair in edge-list order, summing every line the two share in one tensordot,
+and removes self-loops by a partial trace; ``brute_force_contract`` is an
+intentionally naive all-index-assignment summation kept as an independent
+oracle, sharing no code with the engine.
 """
 
 from __future__ import annotations
@@ -170,12 +172,14 @@ class Network:
     def contract(self, order=None) -> Tensor:
         """Contract the network to a tensor over the free legs, in their order.
 
-        Eliminates edges one at a time (pairwise tensordot, self-loops by a
-        partial trace); disconnected remainders are combined by an outer
-        product. ``order`` optionally gives a permutation of edge indices to
-        process; any permutation yields the same result up to float
-        reassociation. A network with no free legs contracts to a rank-0
-        tensor.
+        Eliminates components pair by pair: when a scheduled edge joins two
+        components, every line between them goes in one tensordot, and edges
+        already eliminated that way are skipped when their turn comes.
+        Self-loops on a single node are removed by a partial trace.
+        Disconnected remainders are combined by an outer product. ``order``
+        optionally gives a permutation of edge indices to process; any
+        permutation yields the same result up to float reassociation. A
+        network with no free legs contracts to a rank-0 tensor.
         """
         if order is None:
             schedule = list(self.edges)
@@ -186,18 +190,22 @@ class Network:
             schedule = [self.edges[i] for i in order]
 
         # Working components: id -> (array, axis labels); every original node
-        # starts as its own component.
+        # starts as its own component. A label stays in ``owner`` until its
+        # edge is eliminated.
         comp: dict[str, tuple[np.ndarray, list[EndPoint]]] = {}
         owner: dict[EndPoint, str] = {}
-        comp_seq: list[str] = []
         for node_id, tensor in self.nodes.items():
             labels = [(node_id, leg_name) for leg_name, _ in tensor.legs]
             comp[node_id] = (np.asarray(tensor.data), labels)
-            comp_seq.append(node_id)
             for label in labels:
                 owner[label] = node_id
+        partner: dict[EndPoint, EndPoint] = {}
+        for p, q in self.edges:
+            partner[p], partner[q] = q, p
 
         for p, q in schedule:
+            if p not in owner:
+                continue
             cp, cq = owner[p], owner[q]
             if cp == cq:
                 arr, labels = comp[cp]
@@ -205,24 +213,30 @@ class Network:
                 arr = np.trace(arr, axis1=i, axis2=j)
                 labels = [lab for k, lab in enumerate(labels) if k not in (i, j)]
                 comp[cp] = (arr, labels)
-            else:
-                a, la = comp[cp]
-                b, lb = comp[cq]
-                i, j = la.index(p), lb.index(q)
-                arr = np.tensordot(a, b, axes=(i, j))
-                labels = la[:i] + la[i + 1 :] + lb[:j] + lb[j + 1 :]
-                comp[cp] = (arr, labels)
-                for label in lb:
-                    owner[label] = cp
-                del comp[cq]
-                comp_seq.remove(cq)
-            del owner[p], owner[q]
+                del owner[p], owner[q]
+                continue
+            a, la = comp[cp]
+            b, lb = comp[cq]
+            # Every line between the two components, found from the smaller.
+            flip = len(lb) < len(la)
+            small, big, other = (lb, la, cp) if flip else (la, lb, cq)
+            pos = {lab: k for k, lab in enumerate(big)}
+            ks = [k for k, lab in enumerate(small) if owner.get(partner.get(lab)) == other]
+            ms = [pos[partner[small[k]]] for k in ks]
+            ia, ib = (ms, ks) if flip else (ks, ms)
+            for k in ks:
+                del owner[small[k]], owner[partner[small[k]]]
+            arr = np.tensordot(a, b, axes=(ia, ib))
+            rest_b = [lab for lab in lb if lab in owner]
+            comp[cp] = (arr, [lab for lab in la if lab in owner] + rest_b)
+            for label in rest_b:
+                owner[label] = cp
+            del comp[cq]
 
         # Outer product of whatever components remain (disconnected pieces).
         arr = np.ones((), dtype=complex)
         labels: list[EndPoint] = []
-        for cid in comp_seq:
-            part, part_labels = comp[cid]
+        for part, part_labels in comp.values():
             arr = np.multiply.outer(arr, part)
             labels = labels + part_labels
 

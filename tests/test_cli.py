@@ -3,10 +3,11 @@
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from qpath import cli, dsl
+from qpath import cli, dsl, pathsum
 
 GOLDEN = Path(__file__).parent / "golden"
 MZ = GOLDEN / "mz.qpd"
@@ -75,6 +76,13 @@ class TestRunCommand:
         text, code = cli.run_command(doc, "verify", {"circuit": "mz"})
         assert code == 0 and text.startswith("PASS max_deviation ")
 
+    def test_verify_multiplies_layers_once(self):
+        doc = dsl.parse("dim 3\ngate P = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]\ncircuit c = P P\n").document
+        with mock.patch.object(pathsum, "composition_matrix", wraps=pathsum.composition_matrix) as spy:
+            text, code = cli.run_command(doc, "verify", {"circuit": "c"})
+        assert code == 0 and text.startswith("PASS max_deviation ")
+        assert spy.call_count == 1
+
     def test_unknown_command(self):
         with pytest.raises(cli.CommandError) as exc:
             cli.run_command(parse_file(MZ), "nope", {})
@@ -118,6 +126,25 @@ class TestExitCodes:
         proc = run_cli(["verify", str(doc), "--circuit", "c"])
         assert proc.returncode == 3
         assert proc.stdout.startswith("FAIL max_deviation ")
+
+    def test_verify_overflow_is_named_not_passed(self, tmp_path):
+        # G G overflows to inf in both routes; inf - inf is nan, which no
+        # deviation bound may accept
+        doc = tmp_path / "overflow.qpd"
+        doc.write_text("dim 2\ngate G = [[1e300, 1e300], [1e300, 1e300]]\ncircuit c = G G\n")
+        proc = run_cli(["verify", str(doc), "--circuit", "c"])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("qpath: amplitude (output 0, input 0) overflows")
+        assert proc.stderr.count("\n") == 1
+
+    def test_non_finite_literal_is_a_parse_error(self, tmp_path):
+        doc = tmp_path / "inf.qpd"
+        doc.write_text("dim 2\ngate G = [[1e999, 0], [0, 1]]\ncircuit c = G\n")
+        proc = run_cli(["eval", str(doc), "--circuit", "c", "--input", "0"])
+        assert proc.returncode == 1
+        assert ":2:12: error: non-finite complex literal '1e999'" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_path_cap_exceeded(self, tmp_path):
         doc = tmp_path / "deep.qpd"

@@ -86,6 +86,15 @@ class TestDiagnostics:
         result = dsl.parse("dim 2\ngate G = [[1, oops], [0, 1]]\n")
         assert any("malformed complex literal 'oops'" in m for m in messages(result))
 
+    def test_non_finite_literal_is_positioned(self):
+        result = dsl.parse("dim 2\ngate G = [[1e999, 0], [0, 1]]\nstate s = [1, -2e400i]\n")
+        assert not result.ok
+        gate, state = result.diagnostics
+        assert gate.message == "non-finite complex literal '1e999'"
+        assert (gate.line, gate.column) == (2, 12)
+        assert state.message == "non-finite complex literal '-2e400i'"
+        assert (state.line, state.column) == (3, 14)
+
     def test_unknown_gate_in_circuit(self):
         result = dsl.parse("dim 2\ncircuit c = nope\n")
         assert any("unknown gate 'nope'" in m for m in messages(result))
