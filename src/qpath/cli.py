@@ -1,23 +1,23 @@
 """Command line interface: evaluate, enumerate, sample, verify, contract, render.
 
 Exit codes: 0 success, 1 parse error, 2 semantic error (unknown names,
-out-of-range indices, invalid inputs), 3 verification failure, 4 resource
-cap exceeded. All numeric output uses 12-significant-digit scientific
-notation so command output is byte-identical across runs for the same
-document, command, and seed.
+out-of-range indices, invalid inputs, a value that overflows double
+precision), 3 verification failure, 4 resource cap exceeded. All numeric
+output uses 12-significant-digit scientific notation so command output is
+byte-identical across runs for the same document, command, and seed.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import cmath
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import dsl, linalg, measure, pathsum, tensornet
+from . import dsl, linalg, measure, pathsum
 from .formatting import pair12, sci12
 
 EXIT_OK = 0
@@ -36,15 +36,17 @@ class CommandError(Exception):
         self.exit_code = exit_code
 
 
-def _circuit_diagram(doc: dsl.Document, name: str, input_index: int) -> pathsum.PathDiagram:
-    if name not in doc.circuits:
-        raise CommandError(EXIT_SEMANTIC, f"unknown circuit '{name}'")
-    if not 0 <= input_index < doc.dim:
-        raise CommandError(
-            EXIT_SEMANTIC, f"input index {input_index} out of range for dimension {doc.dim}"
-        )
-    layers = doc.circuit_layers(name)
-    return pathsum.PathDiagram(doc.dim, tuple(layers), input_index)
+def _lookup(table: dict, kind: str, name: str):
+    if name not in table:
+        raise ValueError(f"unknown {kind} '{name}'")
+    return table[name]
+
+
+def _circuit_diagram(
+    doc: dsl.Document, name: str, input_index: int, output: int | None = pathsum.FREE
+) -> pathsum.PathDiagram:
+    _lookup(doc.circuits, "circuit", name)
+    return pathsum.PathDiagram(doc.dim, tuple(doc.circuit_layers(name)), input_index, output)
 
 
 def _cmd_eval(doc: dsl.Document, options: dict) -> tuple[str, int]:
@@ -52,27 +54,30 @@ def _cmd_eval(doc: dsl.Document, options: dict) -> tuple[str, int]:
     state = linalg.basis_ket(doc.dim, pd.input)
     for layer in pd.layers:
         state = layer @ state
-    lines = [f"{i} {pair12(state[i])}" for i in range(doc.dim)]
+    lines = []
+    for j, amplitude in enumerate(state):
+        if not cmath.isfinite(amplitude):
+            raise ValueError(
+                f"amplitude (output {j}, input {pd.input}) overflows double precision: "
+                f"matrix product {pair12(amplitude)}"
+            )
+        lines.append(f"{j} {pair12(amplitude)}")
     return "\n".join(lines) + "\n", EXIT_OK
 
 
 def _cmd_paths(doc: dsl.Document, options: dict) -> tuple[str, int]:
-    pd = _circuit_diagram(doc, options["circuit"], options["input"])
-    output = options.get("output")
-    if output is not None:
-        try:
-            pd = dataclasses.replace(pd, output=output)
-        except ValueError as exc:
-            raise CommandError(EXIT_SEMANTIC, str(exc)) from exc
-    try:
-        paths = pathsum.enumerate_paths(pd)
-    except pathsum.PathCapExceeded as exc:
-        raise CommandError(EXIT_CAP, str(exc)) from exc
+    pd = _circuit_diagram(doc, options["circuit"], options["input"], options.get("output"))
     lines = []
     running = 0j
-    for path in paths:
+    for path in pathsum.enumerate_paths(pd):
         running += path.weight
         indices = ",".join(str(k) for k in path.indices)
+        # Once non-finite, the running sum stays so: the first such line names the culprit.
+        if not cmath.isfinite(running):
+            raise ValueError(
+                f"path {indices} overflows double precision: "
+                f"weight {pair12(path.weight)}, running sum {pair12(running)}"
+            )
         lines.append(f"{indices} {pair12(path.weight)} {pair12(running)}")
     return "\n".join(lines) + "\n", EXIT_OK
 
@@ -81,38 +86,25 @@ def _cmd_sample(doc: dsl.Document, options: dict) -> tuple[str, int]:
     pd = _circuit_diagram(doc, options["circuit"], options["input"])
     u = pathsum.composition_matrix(pd)
     psi = linalg.basis_ket(doc.dim, pd.input)
-    try:
-        probs = measure.born_probabilities(u, psi)
-        record = measure.sample(probs, options["shots"], options["seed"])
-    except ValueError as exc:
-        raise CommandError(EXIT_SEMANTIC, str(exc)) from exc
+    probs = measure.born_probabilities(u, psi)
+    record = measure.sample(probs, options["shots"], options["seed"])
     return record.render(), EXIT_OK
 
 
 def _cmd_verify(doc: dsl.Document, options: dict) -> tuple[str, int]:
-    name = options["circuit"]
-    if name not in doc.circuits:
-        raise CommandError(EXIT_SEMANTIC, f"unknown circuit '{name}'")
-    layers = tuple(doc.circuit_layers(name))
-    diagrams = [pathsum.PathDiagram(doc.dim, layers, i) for i in range(doc.dim)]
+    diagrams = [_circuit_diagram(doc, options["circuit"], i) for i in range(doc.dim)]
     worst = 0.0
-    # Overflow shows up as a non-finite deviation below, not as a warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        u = pathsum.composition_matrix(diagrams[0])
-        for i, pd in enumerate(diagrams):
-            for j in range(doc.dim):
-                try:
-                    amplitude = pathsum.path_sum_amplitude(pd, j)
-                except pathsum.PathCapExceeded as exc:
-                    raise CommandError(EXIT_CAP, str(exc)) from exc
-                deviation = abs(amplitude - u[j, i])
-                if not math.isfinite(deviation):
-                    raise CommandError(
-                        EXIT_SEMANTIC,
-                        f"amplitude (output {j}, input {i}) overflows double precision: "
-                        f"path sum {pair12(amplitude)}, matrix product {pair12(u[j, i])}",
-                    )
-                worst = max(worst, deviation)
+    u = pathsum.composition_matrix(diagrams[0])
+    for i, pd in enumerate(diagrams):
+        for j in range(doc.dim):
+            amplitude = pathsum.path_sum_amplitude(pd, j)
+            deviation = abs(amplitude - u[j, i])
+            if not math.isfinite(deviation):
+                raise ValueError(
+                    f"amplitude (output {j}, input {i}) overflows double precision: "
+                    f"path sum {pair12(amplitude)}, matrix product {pair12(u[j, i])}"
+                )
+            worst = max(worst, deviation)
     ok = worst <= VERIFY_TOL
     text = f"{'PASS' if ok else 'FAIL'} max_deviation {sci12(worst)}\n"
     return text, EXIT_OK if ok else EXIT_VERIFY
@@ -120,11 +112,8 @@ def _cmd_verify(doc: dsl.Document, options: dict) -> tuple[str, int]:
 
 def _cmd_contract(doc: dsl.Document, options: dict) -> tuple[str, int]:
     if not doc.has_network():
-        raise CommandError(EXIT_SEMANTIC, "document declares no network nodes")
-    try:
-        result = doc.network().contract()
-    except tensornet.NetworkError as exc:
-        raise CommandError(EXIT_SEMANTIC, str(exc)) from exc
+        raise ValueError("document declares no network nodes")
+    result = doc.network().contract()
     lines = ["legs" + "".join(f" {name}" for name, _ in result.legs)]
     data = np.asarray(result.data)
     for idx in np.ndindex(*data.shape):
@@ -139,23 +128,10 @@ def _cmd_dot(doc: dsl.Document, options: dict) -> tuple[str, int]:
 
 
 def _cmd_hadamard_test(doc: dsl.Document, options: dict) -> tuple[str, int]:
-    gate_name = options["gate"]
-    state_name = options["state"]
-    if gate_name not in doc.gates:
-        raise CommandError(EXIT_SEMANTIC, f"unknown gate '{gate_name}'")
-    if state_name not in doc.states:
-        raise CommandError(EXIT_SEMANTIC, f"unknown state '{state_name}'")
+    gate = _lookup(doc.gates, "gate", options["gate"])
+    state = _lookup(doc.states, "state", options["state"])
     part = {"re": "real", "im": "imag"}[options["part"]]
-    try:
-        result = measure.hadamard_test(
-            doc.gates[gate_name],
-            doc.states[state_name],
-            part,
-            options["shots"],
-            options["seed"],
-        )
-    except ValueError as exc:
-        raise CommandError(EXIT_SEMANTIC, str(exc)) from exc
+    result = measure.hadamard_test(gate, state, part, options["shots"], options["seed"])
     lines = [
         f"part {options['part']}",
         f"shots {options['shots']}",
@@ -181,12 +157,21 @@ _COMMANDS = {
 def run_command(doc: dsl.Document, command: str, options: dict) -> tuple[str, int]:
     """Run one subcommand over a parsed document.
 
-    Returns (output text, exit code); raises CommandError for semantic and
-    resource problems.
+    Returns (output text, exit code). This is the commands' only error
+    boundary: it raises CommandError with exit code 4 for an exceeded path
+    cap and exit code 2 for every ValueError (unknown names, out-of-range
+    indices, invalid inputs, values that overflow double precision).
     """
     if command not in _COMMANDS:
         raise CommandError(EXIT_SEMANTIC, f"unknown command '{command}'")
-    return _COMMANDS[command](doc, options)
+    try:
+        # Commands report overflow by name once it reaches a result, not as numpy warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _COMMANDS[command](doc, options)
+    except pathsum.PathCapExceeded as exc:
+        raise CommandError(EXIT_CAP, str(exc)) from exc
+    except ValueError as exc:
+        raise CommandError(EXIT_SEMANTIC, str(exc)) from exc
 
 
 def _build_arg_parser() -> argparse.ArgumentParser:

@@ -194,8 +194,8 @@ class _Parser:
         self.diags.append(Diagnostic("error", message, line, max(column, 1), excerpt))
 
     def run(self) -> ParseResult:
-        lines = self.source.split("\n")
-        for lineno, raw in enumerate(lines, 1):
+        self.lines = self.source.split("\n")
+        for lineno, raw in enumerate(self.lines, 1):
             if raw.endswith("\r"):
                 raw = raw[:-1]
             line = raw.split("#", 1)[0]
@@ -415,10 +415,7 @@ class _Parser:
                     )
 
     def _line_text(self, lineno: int) -> str:
-        lines = self.source.split("\n")
-        if 1 <= lineno <= len(lines):
-            return lines[lineno - 1].rstrip("\r")
-        return ""
+        return self.lines[lineno - 1].rstrip("\r")
 
     # -- literals --------------------------------------------------------
 

@@ -72,8 +72,8 @@ class MeasurementRecord:
         return "\n".join(lines) + "\n"
 
 
-def born_probabilities(u, psi) -> np.ndarray:
-    """Outcome probabilities p_i = |<i|U|psi>|^2 for unitary u and unit psi."""
+def _unitary_and_unit_state(u, psi) -> tuple[np.ndarray, np.ndarray]:
+    """Coerce ``u`` and ``psi``, requiring a unitary u that acts on a unit psi."""
     u = linalg.as_matrix(u)
     psi = linalg.as_state(psi)
     deviation = linalg.unitarity_deviation(u)
@@ -90,6 +90,12 @@ def born_probabilities(u, psi) -> np.ndarray:
         raise ValueError(
             f"state is not normalized: squared norm is {float(np.vdot(psi, psi).real)!r}"
         )
+    return u, psi
+
+
+def born_probabilities(u, psi) -> np.ndarray:
+    """Outcome probabilities p_i = |<i|U|psi>|^2 for unitary u and unit psi."""
+    u, psi = _unitary_and_unit_state(u, psi)
     amps = u @ psi
     return np.abs(amps) ** 2
 
@@ -171,22 +177,8 @@ def hadamard_test(u, psi, part: str, shots: int, seed: int) -> HadamardTestResul
     """
     if part not in ("real", "imag"):
         raise ValueError(f"part must be 'real' or 'imag', got {part!r}")
-    u = linalg.as_matrix(u)
-    psi = linalg.as_state(psi)
-    deviation = linalg.unitarity_deviation(u)
-    if deviation > 1e-9:
-        raise ValueError(
-            f"matrix is not unitary: max |U†U - I| entry is {deviation:.3e}"
-        )
-    if not linalg.is_normalized(psi):
-        raise ValueError(
-            f"state is not normalized: squared norm is {float(np.vdot(psi, psi).real)!r}"
-        )
+    u, psi = _unitary_and_unit_state(u, psi)
     d = psi.shape[0]
-    if u.shape[0] != d:
-        raise linalg.ShapeError(
-            f"dimension mismatch: matrix is {u.shape[0]}x{u.shape[1]}, state has dim {d}"
-        )
 
     ancilla_prep = HADAMARD if part == "real" else PHASE_NEG_I @ HADAMARD
     eye = np.eye(d, dtype=complex)

@@ -21,7 +21,7 @@ the same path cap.
 
 from __future__ import annotations
 
-import dataclasses
+import copy
 from dataclasses import dataclass
 from itertools import product
 
@@ -94,15 +94,9 @@ class PathDiagram:
             frozen.append(m)
         object.__setattr__(self, "dim", d)
         object.__setattr__(self, "layers", tuple(frozen))
-        if not 0 <= int(self.input) < d:
-            raise ValueError(f"input index {self.input} out of range for dimension {d}")
-        object.__setattr__(self, "input", int(self.input))
+        object.__setattr__(self, "input", _index("input", self.input, d))
         if self.output is not FREE:
-            if not 0 <= int(self.output) < d:
-                raise ValueError(
-                    f"output index {self.output} out of range for dimension {d}"
-                )
-            object.__setattr__(self, "output", int(self.output))
+            object.__setattr__(self, "output", _index("output", self.output, d))
 
     @property
     def n_layers(self) -> int:
@@ -115,6 +109,19 @@ class Path:
 
     indices: tuple[int, ...]
     weight: complex
+
+
+def _index(kind: str, index, d: int) -> int:
+    if not 0 <= int(index) < d:
+        raise ValueError(f"{kind} index {index} out of range for dimension {d}")
+    return int(index)
+
+
+def _pinned(pd: PathDiagram, output_index) -> PathDiagram:
+    """``pd`` with its output pinned, sharing its already-validated layers."""
+    pinned = copy.copy(pd)
+    object.__setattr__(pinned, "output", _index("output", output_index, pd.dim))
+    return pinned
 
 
 def _require_layers(pd: PathDiagram) -> None:
@@ -213,7 +220,7 @@ def path_sum_amplitude(
     The weights are added in path order, left to right, one block at a time.
     """
     _require_layers(pd)
-    pinned = dataclasses.replace(pd, output=output_index)
+    pinned = _pinned(pd, output_index)
     _check_cap(pinned, cap)
     total_re = total_im = 0.0
     for re, im in _weight_blocks(pinned):
@@ -254,7 +261,7 @@ def interference_report(
     tol. Anything in between is mixed.
     """
     _require_layers(pd)
-    pinned = dataclasses.replace(pd, output=output_index)
+    pinned = _pinned(pd, output_index)
     paths = tuple(enumerate_paths(pinned))
     total = complex(sum(p.weight for p in paths))
     magnitude = abs(total)
@@ -295,9 +302,6 @@ class LabDiagram:
     nodes: tuple[str, ...]
     edges: tuple[tuple[str, str, complex], ...]
 
-    def successors(self, node_id: str) -> list[tuple[str, complex]]:
-        return [(dst, w) for src, dst, w in self.edges if src == node_id]
-
     def input_walks(self) -> list[tuple[tuple[int, ...], complex]]:
         """Root-to-sink walks entering through the prepared input branch.
 
@@ -305,16 +309,19 @@ class LabDiagram:
         each layer, paired with the product of its edge weights; these
         correspond one to one with the FREE-output path enumeration.
         """
+        successors: dict[str, list[tuple[str, int, complex]]] = {}
+        for src, dst, w in self.edges:
+            successors.setdefault(src, []).append((dst, _branch_of(dst), w))
         start = f"L1_k{self.input}"
         walks: list[tuple[tuple[int, ...], complex]] = []
 
         def descend(node_id: str, indices: tuple[int, ...], weight: complex) -> None:
-            nexts = self.successors(node_id)
+            nexts = successors.get(node_id)
             if not nexts:
                 walks.append((indices, weight))
                 return
-            for dst, w in nexts:
-                descend(dst, indices + (_branch_of(dst),), weight * w)
+            for dst, branch, w in nexts:
+                descend(dst, indices + (branch,), weight * w)
 
         descend(start, (), 1 + 0j)
         return walks

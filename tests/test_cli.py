@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -89,6 +90,58 @@ class TestRunCommand:
         assert exc.value.exit_code == cli.EXIT_SEMANTIC
 
 
+OVERFLOW = "dim 2\ngate G = [[1e300, 1e300], [1e300, 1e300]]\ncircuit c = G G\n"
+
+BAD_INPUTS = [
+    # (name, document, command, options, exit code, message)
+    ("unknown circuit", MZ.read_text(), "eval", {"circuit": "ghost", "input": 0},
+     cli.EXIT_SEMANTIC, "unknown circuit 'ghost'"),
+    ("unknown gate", HTEST.read_text(), "hadamard-test",
+     {"gate": "ghost", "state": "zero", "part": "re", "shots": 10, "seed": 0},
+     cli.EXIT_SEMANTIC, "unknown gate 'ghost'"),
+    ("unknown state", HTEST.read_text(), "hadamard-test",
+     {"gate": "X", "state": "ghost", "part": "re", "shots": 10, "seed": 0},
+     cli.EXIT_SEMANTIC, "unknown state 'ghost'"),
+    ("input out of range", MZ.read_text(), "dot", {"circuit": "mz", "input": 2},
+     cli.EXIT_SEMANTIC, "input index 2 out of range for dimension 2"),
+    ("output out of range", MZ.read_text(), "paths", {"circuit": "mz", "input": 0, "output": -1},
+     cli.EXIT_SEMANTIC, "output index -1 out of range for dimension 2"),
+    ("non-unitary sample", "dim 2\ngate S = [[1, 1], [0, 1]]\ncircuit c = S\n", "sample",
+     {"circuit": "c", "input": 0, "shots": 5, "seed": 0},
+     cli.EXIT_SEMANTIC, "matrix is not unitary: max |U†U - I| entry is 1.000e+00"),
+    ("unnormalized state", "dim 2\ngate X = [[0, 1], [1, 0]]\nstate v = [1, 1]\n", "hadamard-test",
+     {"gate": "X", "state": "v", "part": "im", "shots": 10, "seed": 0},
+     cli.EXIT_SEMANTIC, "state is not normalized: squared norm is 2.0"),
+    ("path cap", "dim 2\ngate X = [[0, 1], [1, 0]]\ncircuit c = " + " X" * 21 + "\n", "paths",
+     {"circuit": "c", "input": 0, "output": None},
+     cli.EXIT_CAP, "diagram has 2097152 paths, exceeding the cap of 1000000"),
+    ("eval overflow", OVERFLOW, "eval", {"circuit": "c", "input": 1},
+     cli.EXIT_SEMANTIC, "amplitude (output 0, input 1) overflows double precision: matrix product inf nan"),
+    ("paths overflow", OVERFLOW, "paths", {"circuit": "c", "input": 1, "output": 1},
+     cli.EXIT_SEMANTIC,
+     "path 0,1 overflows double precision: weight inf 0.00000000000e+00, running sum inf 0.00000000000e+00"),
+    ("verify overflow", OVERFLOW, "verify", {"circuit": "c"},
+     cli.EXIT_SEMANTIC,
+     "amplitude (output 0, input 0) overflows double precision: "
+     "path sum inf 0.00000000000e+00, matrix product inf nan"),
+]
+
+
+@pytest.mark.parametrize(
+    "source,command,options,exit_code,message",
+    [case[1:] for case in BAD_INPUTS],
+    ids=[case[0] for case in BAD_INPUTS],
+)
+def test_bad_input_becomes_one_command_error(source, command, options, exit_code, message):
+    doc = dsl.parse(source).document
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would escape as an exception
+        with pytest.raises(cli.CommandError) as exc:
+            cli.run_command(doc, command, options)
+    assert exc.value.exit_code == exit_code
+    assert str(exc.value) == message
+
+
 class TestExitCodes:
     def test_success(self):
         assert run_cli(["eval", str(MZ), "--circuit", "mz", "--input", "0"]).returncode == 0
@@ -137,6 +190,28 @@ class TestExitCodes:
         assert proc.stdout == ""
         assert proc.stderr.startswith("qpath: amplitude (output 0, input 0) overflows")
         assert proc.stderr.count("\n") == 1
+
+    def test_eval_overflow_is_named_not_printed(self, tmp_path):
+        doc = tmp_path / "overflow.qpd"
+        doc.write_text(OVERFLOW)
+        proc = run_cli(["eval", str(doc), "--circuit", "c", "--input", "0"])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "qpath: amplitude (output 0, input 0) overflows double precision: "
+            "matrix product inf nan\n"
+        )
+
+    def test_paths_overflow_is_named_not_printed(self, tmp_path):
+        doc = tmp_path / "overflow.qpd"
+        doc.write_text(OVERFLOW)
+        proc = run_cli(["paths", str(doc), "--circuit", "c", "--input", "0"])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "qpath: path 0,0 overflows double precision: "
+            "weight inf 0.00000000000e+00, running sum inf 0.00000000000e+00\n"
+        )
 
     def test_non_finite_literal_is_a_parse_error(self, tmp_path):
         doc = tmp_path / "inf.qpd"
