@@ -49,20 +49,23 @@ def _circuit_diagram(
     return pathsum.PathDiagram(doc.dim, tuple(doc.circuit_layers(name)), input_index, output)
 
 
+def _require_finite_column(column: np.ndarray, input_index: int) -> None:
+    """Name the first amplitude of a matrix-product column that overflowed."""
+    for j, amplitude in enumerate(column):
+        if not cmath.isfinite(amplitude):
+            raise ValueError(
+                f"amplitude (output {j}, input {input_index}) overflows double precision: "
+                f"matrix product {pair12(amplitude)}"
+            )
+
+
 def _cmd_eval(doc: dsl.Document, options: dict) -> tuple[str, int]:
     pd = _circuit_diagram(doc, options["circuit"], options["input"])
     state = linalg.basis_ket(doc.dim, pd.input)
     for layer in pd.layers:
         state = layer @ state
-    lines = []
-    for j, amplitude in enumerate(state):
-        if not cmath.isfinite(amplitude):
-            raise ValueError(
-                f"amplitude (output {j}, input {pd.input}) overflows double precision: "
-                f"matrix product {pair12(amplitude)}"
-            )
-        lines.append(f"{j} {pair12(amplitude)}")
-    return "\n".join(lines) + "\n", EXIT_OK
+    _require_finite_column(state, pd.input)
+    return "".join(f"{j} {pair12(amplitude)}\n" for j, amplitude in enumerate(state)), EXIT_OK
 
 
 def _cmd_paths(doc: dsl.Document, options: dict) -> tuple[str, int]:
@@ -85,6 +88,7 @@ def _cmd_paths(doc: dsl.Document, options: dict) -> tuple[str, int]:
 def _cmd_sample(doc: dsl.Document, options: dict) -> tuple[str, int]:
     pd = _circuit_diagram(doc, options["circuit"], options["input"])
     u = pathsum.composition_matrix(pd)
+    _require_finite_column(u[:, pd.input], pd.input)
     psi = linalg.basis_ket(doc.dim, pd.input)
     probs = measure.born_probabilities(u, psi)
     record = measure.sample(probs, options["shots"], options["seed"])

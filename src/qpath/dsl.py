@@ -19,6 +19,10 @@ order: the first gate acts first. Every referenced name must be declared on
 an earlier line, names are unique per kind, and a document has at most one
 ``dim``, which must precede anything that needs it.
 
+Each line goes through one rule, chosen by its first word from ``_RULES``:
+a pattern for the rest of the line and a handler that checks the match
+against the declarations before it and records the result.
+
 Parsing is total: it never raises on text input. On failure the result
 carries every diagnostic found, each with a 1-based line and column, and no
 document is produced.
@@ -47,23 +51,16 @@ __all__ = [
 ]
 
 _UNSIGNED = r"(?:1/sqrt2|\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-_RE_BOTH = re.compile(rf"(?P<re>[+-]?{_UNSIGNED})(?P<sign>[+-])(?P<im>{_UNSIGNED})?i")
-_RE_IMAG = re.compile(rf"(?P<sign>[+-]?)(?P<im>{_UNSIGNED})?i")
-_RE_REAL = re.compile(rf"[+-]?{_UNSIGNED}")
+# A real part only counts when a sign or the end follows it, so "2i" is imaginary.
+_RE_COMPLEX = re.compile(
+    rf"(?P<re>[+-]?{_UNSIGNED}(?=[+-]|$))?(?:(?P<sign>[+-]?)(?P<im>{_UNSIGNED})?(?P<i>i))?"
+)
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
-_RE_DIM = re.compile(r"\s*dim\s+(?P<val>\S+)\s*")
-_RE_GATE = re.compile(rf"\s*gate\s+(?P<name>{_NAME})\s*=\s*(?P<body>\S.*?)\s*")
-_RE_STATE = re.compile(rf"\s*state\s+(?P<name>{_NAME})\s*=\s*(?P<body>\S.*?)\s*")
-_RE_CIRCUIT = re.compile(rf"\s*circuit\s+(?P<name>{_NAME})\s*=\s*(?P<body>\S.*?)\s*")
-_RE_NODE = re.compile(rf"\s*node\s+(?P<name>{_NAME})\s*:\s*(?P<ref>{_NAME})\s*")
-_RE_EDGE = re.compile(
-    rf"\s*edge\s+(?P<a>{_NAME})\.(?P<x>{_NAME})\s*->\s*(?P<b>{_NAME})\.(?P<y>{_NAME})\s*"
-)
-_RE_FREE = re.compile(rf"\s*free\s+(?P<a>{_NAME})\.(?P<x>{_NAME})\s*")
+_RE_HEAD = re.compile(r"\s*(\S+)")
+_RE_NAMED = re.compile(rf"\s+(?P<name>{_NAME})\s*=\s*(?P<body>\S.*?)\s*")
 
-_GATE_LEGS = ("in", "out")
-_STATE_LEGS = ("out",)
+_LEGS = {"gate": ("in", "out"), "state": ("out",)}
 
 
 def _real_value(token: str) -> float:
@@ -79,24 +76,12 @@ def _real_value(token: str) -> float:
 
 def parse_complex_literal(token: str) -> complex | None:
     """Parse one complex literal, or None if malformed."""
-    token = token.strip()
-    if not token:
+    m = _RE_COMPLEX.fullmatch(token.strip())
+    if m is None or not m[0]:
         return None
-    m = _RE_BOTH.fullmatch(token)
-    if m:
-        im = _real_value(m.group("im")) if m.group("im") is not None else 1.0
-        if m.group("sign") == "-":
-            im = -im
-        return complex(_real_value(m.group("re")), im)
-    m = _RE_IMAG.fullmatch(token)
-    if m:
-        im = _real_value(m.group("im")) if m.group("im") is not None else 1.0
-        if m.group("sign") == "-":
-            im = -im
-        return complex(0.0, im)
-    if _RE_REAL.fullmatch(token):
-        return complex(_real_value(token), 0.0)
-    return None
+    re_part = _real_value(m["re"]) if m["re"] else 0.0
+    im_part = _real_value(m["sign"] + (m["im"] or "1")) if m["i"] else 0.0
+    return complex(re_part, im_part)
 
 
 def _fmt_real(x: float) -> str:
@@ -184,248 +169,182 @@ class ParseResult:
 
 
 class _Parser:
+    """Parses one source; ``lineno`` and ``excerpt`` locate the line being read."""
+
     def __init__(self, source: str):
         self.source = source
         self.diags: list[Diagnostic] = []
         self.doc = Document()
-        self.used_legs: dict[tuple[str, str], int] = {}  # endpoint -> line declared
+        self.used_legs: set[tuple[str, str]] = set()
+        self.lineno = 0
+        self.excerpt = ""
 
-    def error(self, message: str, line: int, column: int, excerpt: str) -> None:
-        self.diags.append(Diagnostic("error", message, line, max(column, 1), excerpt))
+    def error(self, message: str, column: int) -> None:
+        self.diags.append(Diagnostic("error", message, self.lineno, max(column, 1), self.excerpt))
 
     def run(self) -> ParseResult:
         self.lines = self.source.split("\n")
         for lineno, raw in enumerate(self.lines, 1):
-            if raw.endswith("\r"):
-                raw = raw[:-1]
-            line = raw.split("#", 1)[0]
-            if not line.strip():
-                continue
-            self.parse_line(line, lineno, raw)
+            self.lineno = lineno
+            self.excerpt = raw[:-1] if raw.endswith("\r") else raw
+            line = self.excerpt.split("#", 1)[0]
+            if line.strip():
+                self.parse_line(line)
         self.check_dangling()
         if self.diags:
             return ParseResult(None, self.diags)
         return ParseResult(self.doc, [])
 
-    # -- per-line dispatch ---------------------------------------------
-
-    def parse_line(self, line: str, lineno: int, raw: str) -> None:
-        head = re.match(r"\s*(\S+)", line)
-        kind = head.group(1)
-        kind_col = head.start(1) + 1
-        handler = {
-            "dim": self.parse_dim,
-            "gate": self.parse_gate,
-            "state": self.parse_state,
-            "circuit": self.parse_circuit,
-            "node": self.parse_node,
-            "edge": self.parse_edge,
-            "free": self.parse_free,
-        }.get(kind)
-        if handler is None:
-            self.error(f"unknown declaration kind '{kind}'", lineno, kind_col, raw)
+    def parse_line(self, line: str) -> None:
+        head = _RE_HEAD.match(line)
+        kind, col = head[1], head.start(1) + 1
+        if kind not in _RULES:
+            self.error(f"unknown declaration kind '{kind}'", col)
             return
-        handler(line, lineno, kind_col, raw)
+        pattern, handler = _RULES[kind]
+        m = pattern.fullmatch(line, head.end())
+        if m is None:
+            self.error(f"malformed `{kind}` declaration", col)
+            return
+        declared = handler(self, m, col)
+        if declared is not None:
+            name, payload = declared
+            self.doc.declarations.append(Declaration(kind, name, payload, self.lineno, col))
 
-    def require_dim(self, lineno: int, column: int, raw: str) -> bool:
+    def require_dim(self, column: int) -> bool:
         if self.doc.dim is None:
-            self.error("no `dim` declared before this declaration", lineno, column, raw)
+            self.error("no `dim` declared before this declaration", column)
             return False
         return True
 
-    def declare(self, kind: str, name: str | None, payload, lineno: int, column: int) -> None:
-        self.doc.declarations.append(Declaration(kind, name, payload, lineno, column))
-
-    def check_duplicate(self, kind: str, name: str, table, lineno: int, column: int, raw: str) -> bool:
-        if name in table:
-            self.error(f"duplicate declaration of {kind} '{name}'", lineno, column, raw)
+    def is_duplicate(self, kind: str, m: re.Match, table) -> bool:
+        if m["name"] in table:
+            self.error(f"duplicate declaration of {kind} '{m['name']}'", m.start("name") + 1)
             return True
         return False
 
-    def parse_dim(self, line: str, lineno: int, col: int, raw: str) -> None:
-        m = _RE_DIM.fullmatch(line)
-        if not m:
-            self.error("malformed `dim` declaration", lineno, col, raw)
-            return
-        token = m.group("val")
-        if not token.isdigit() or int(token) < 1:
-            self.error(f"invalid dimension '{token}'", lineno, m.start("val") + 1, raw)
-            return
-        if self.doc.dim is not None:
-            self.error("duplicate `dim` declaration", lineno, col, raw)
-            return
-        self.doc.dim = int(token)
-        self.declare("dim", None, self.doc.dim, lineno, col)
+    # -- one handler per kind: return (name, payload) to record, or None ---
 
-    def parse_gate(self, line: str, lineno: int, col: int, raw: str) -> None:
-        m = _RE_GATE.fullmatch(line)
-        if not m:
-            self.error("malformed `gate` declaration", lineno, col, raw)
-            return
-        name = m.group("name")
-        if self.check_duplicate("gate", name, self.doc.gates, lineno, m.start("name") + 1, raw):
-            return
-        rows = self.parse_matrix_literal(m.group("body"), lineno, m.start("body") + 1, raw)
-        if not self.require_dim(lineno, col, raw) or rows is None:
-            return
-        d = self.doc.dim
+    def parse_dim(self, m: re.Match, col: int):
+        token = m["val"]
+        if not token.isdecimal() or int(token) < 1:
+            self.error(f"invalid dimension '{token}'", m.start("val") + 1)
+            return None
+        if self.doc.dim is not None:
+            self.error("duplicate `dim` declaration", col)
+            return None
+        self.doc.dim = int(token)
+        return None, self.doc.dim
+
+    def parse_gate(self, m: re.Match, col: int):
+        if self.is_duplicate("gate", m, self.doc.gates):
+            return None
+        body_col = m.start("body") + 1
+        rows = self.parse_matrix_literal(m["body"], body_col)
+        if not self.require_dim(col) or rows is None:
+            return None
+        name, d = m["name"], self.doc.dim
         if len(rows) != d or any(len(r) != d for r in rows):
             shape = f"{len(rows)}x{len(rows[0]) if rows else 0}"
-            self.error(
-                f"dimension mismatch: gate '{name}' must be {d}x{d}, got {shape}",
-                lineno,
-                m.start("body") + 1,
-                raw,
-            )
-            return
-        matrix = np.array(rows, dtype=complex)
-        self.doc.gates[name] = matrix
-        self.declare("gate", name, matrix, lineno, col)
+            self.error(f"dimension mismatch: gate '{name}' must be {d}x{d}, got {shape}", body_col)
+            return None
+        self.doc.gates[name] = np.array(rows, dtype=complex)
+        return name, self.doc.gates[name]
 
-    def parse_state(self, line: str, lineno: int, col: int, raw: str) -> None:
-        m = _RE_STATE.fullmatch(line)
-        if not m:
-            self.error("malformed `state` declaration", lineno, col, raw)
-            return
-        name = m.group("name")
-        if self.check_duplicate("state", name, self.doc.states, lineno, m.start("name") + 1, raw):
-            return
-        entries = self.parse_vector_literal(m.group("body"), lineno, m.start("body") + 1, raw)
-        if not self.require_dim(lineno, col, raw) or entries is None:
-            return
-        d = self.doc.dim
+    def parse_state(self, m: re.Match, col: int):
+        if self.is_duplicate("state", m, self.doc.states):
+            return None
+        body_col = m.start("body") + 1
+        entries = self.parse_vector_literal(m["body"], body_col)
+        if not self.require_dim(col) or entries is None:
+            return None
+        name, d = m["name"], self.doc.dim
         if len(entries) != d:
             self.error(
                 f"dimension mismatch: state '{name}' must have {d} entries, got {len(entries)}",
-                lineno,
-                m.start("body") + 1,
-                raw,
+                body_col,
             )
-            return
-        vector = np.array(entries, dtype=complex)
-        self.doc.states[name] = vector
-        self.declare("state", name, vector, lineno, col)
+            return None
+        self.doc.states[name] = np.array(entries, dtype=complex)
+        return name, self.doc.states[name]
 
-    def parse_circuit(self, line: str, lineno: int, col: int, raw: str) -> None:
-        m = _RE_CIRCUIT.fullmatch(line)
-        if not m:
-            self.error("malformed `circuit` declaration", lineno, col, raw)
-            return
-        name = m.group("name")
-        if self.check_duplicate("circuit", name, self.doc.circuits, lineno, m.start("name") + 1, raw):
-            return
-        if not self.require_dim(lineno, col, raw):
-            return
-        body = m.group("body")
-        body_col = m.start("body")
-        tokens = []
-        bad = False
-        for tok_match in re.finditer(r"\S+", body):
-            token = tok_match.group(0)
-            if token not in self.doc.gates:
-                self.error(
-                    f"unknown gate '{token}'", lineno, body_col + tok_match.start() + 1, raw
-                )
-                bad = True
-            tokens.append(token)
-        if bad:
-            return
-        self.doc.circuits[name] = tuple(tokens)
-        self.declare("circuit", name, tuple(tokens), lineno, col)
+    def parse_circuit(self, m: re.Match, col: int):
+        if self.is_duplicate("circuit", m, self.doc.circuits) or not self.require_dim(col):
+            return None
+        tokens = list(re.finditer(r"\S+", m["body"]))
+        unknown = [token for token in tokens if token[0] not in self.doc.gates]
+        for token in unknown:
+            self.error(f"unknown gate '{token[0]}'", m.start("body") + token.start() + 1)
+        if unknown:
+            return None
+        self.doc.circuits[m["name"]] = tuple(token[0] for token in tokens)
+        return m["name"], self.doc.circuits[m["name"]]
 
-    def parse_node(self, line: str, lineno: int, col: int, raw: str) -> None:
-        m = _RE_NODE.fullmatch(line)
-        if not m:
-            self.error("malformed `node` declaration", lineno, col, raw)
-            return
-        name = m.group("name")
-        ref = m.group("ref")
-        if self.check_duplicate("node", name, self.doc.node_refs, lineno, m.start("name") + 1, raw):
-            return
+    def parse_node(self, m: re.Match, col: int):
+        if self.is_duplicate("node", m, self.doc.node_refs):
+            return None
+        ref = m["ref"]
         if ref in self.doc.gates:  # gates shadow states for node references
             kind = "gate"
         elif ref in self.doc.states:
             kind = "state"
         else:
-            self.error(f"unknown gate or state '{ref}'", lineno, m.start("ref") + 1, raw)
-            return
-        self.doc.node_refs[name] = (kind, ref)
-        self.declare("node", name, (kind, ref), lineno, col)
+            self.error(f"unknown gate or state '{ref}'", m.start("ref") + 1)
+            return None
+        self.doc.node_refs[m["name"]] = (kind, ref)
+        return m["name"], (kind, ref)
 
-    def resolve_endpoint(
-        self, node: str, leg: str, lineno: int, column: int, raw: str
-    ) -> tuple[str, str] | None:
+    def resolve_endpoint(self, node: str, leg: str, column: int) -> tuple[str, str] | None:
         if node not in self.doc.node_refs:
-            self.error(f"unknown node '{node}'", lineno, column, raw)
+            self.error(f"unknown node '{node}'", column)
             return None
         kind, _ = self.doc.node_refs[node]
-        legs = _GATE_LEGS if kind == "gate" else _STATE_LEGS
-        if leg not in legs:
-            self.error(f"unknown leg '{leg}' for {kind} node '{node}'", lineno, column, raw)
+        if leg not in _LEGS[kind]:
+            self.error(f"unknown leg '{leg}' for {kind} node '{node}'", column)
             return None
-        endpoint = (node, leg)
-        if endpoint in self.used_legs:
-            self.error(f"leg '{node}.{leg}' wired more than once", lineno, column, raw)
+        if (node, leg) in self.used_legs:
+            self.error(f"leg '{node}.{leg}' wired more than once", column)
             return None
-        return endpoint
+        return node, leg
 
-    def parse_edge(self, line: str, lineno: int, col: int, raw: str) -> None:
-        m = _RE_EDGE.fullmatch(line)
-        if not m:
-            self.error("malformed `edge` declaration", lineno, col, raw)
-            return
-        first = self.resolve_endpoint(m.group("a"), m.group("x"), lineno, m.start("a") + 1, raw)
+    def parse_edge(self, m: re.Match, col: int):
+        first = self.resolve_endpoint(m["a"], m["x"], m.start("a") + 1)
         if first is None:
-            return
-        self.used_legs[first] = lineno  # reserve before checking the far end
-        second = self.resolve_endpoint(m.group("b"), m.group("y"), lineno, m.start("b") + 1, raw)
+            return None
+        self.used_legs.add(first)  # reserve before checking the far end
+        second = self.resolve_endpoint(m["b"], m["y"], m.start("b") + 1)
         if second is None:
-            del self.used_legs[first]
-            return
-        self.used_legs[second] = lineno
+            self.used_legs.remove(first)
+            return None
+        self.used_legs.add(second)
         self.doc.edges.append((first, second))
-        self.declare("edge", None, (first, second), lineno, col)
+        return None, (first, second)
 
-    def parse_free(self, line: str, lineno: int, col: int, raw: str) -> None:
-        m = _RE_FREE.fullmatch(line)
-        if not m:
-            self.error("malformed `free` declaration", lineno, col, raw)
-            return
-        endpoint = self.resolve_endpoint(m.group("a"), m.group("x"), lineno, m.start("a") + 1, raw)
+    def parse_free(self, m: re.Match, col: int):
+        endpoint = self.resolve_endpoint(m["a"], m["x"], m.start("a") + 1)
         if endpoint is None:
-            return
-        self.used_legs[endpoint] = lineno
+            return None
+        self.used_legs.add(endpoint)
         self.doc.free.append(endpoint)
-        self.declare("free", None, endpoint, lineno, col)
+        return None, endpoint
 
     def check_dangling(self) -> None:
         for decl in self.doc.declarations:
             if decl.kind != "node":
                 continue
-            node_id = decl.name
-            kind, _ = self.doc.node_refs[node_id]
-            legs = _GATE_LEGS if kind == "gate" else _STATE_LEGS
-            for leg in legs:
-                if (node_id, leg) not in self.used_legs:
-                    self.error(
-                        f"dangling leg '{node_id}.{leg}'",
-                        decl.line,
-                        decl.column,
-                        self._line_text(decl.line),
-                    )
-
-    def _line_text(self, lineno: int) -> str:
-        return self.lines[lineno - 1].rstrip("\r")
+            self.lineno, self.excerpt = decl.line, self.lines[decl.line - 1].rstrip("\r")
+            kind, _ = decl.payload
+            for leg in _LEGS[kind]:
+                if (decl.name, leg) not in self.used_legs:
+                    self.error(f"dangling leg '{decl.name}.{leg}'", decl.column)
 
     # -- literals --------------------------------------------------------
 
-    def split_bracketed(
-        self, text: str, lineno: int, base_col: int, raw: str
-    ) -> list[tuple[str, int]] | None:
+    def split_bracketed(self, text: str, base_col: int) -> list[tuple[str, int]] | None:
         """Split ``[a, b, ...]`` into (item text, column) pairs at depth 0."""
         text = text.rstrip()
         if not text.startswith("[") or not text.endswith("]"):
-            self.error("malformed bracketed literal", lineno, base_col, raw)
+            self.error("malformed bracketed literal", base_col)
             return None
         inner = text[1:-1]
         items: list[tuple[str, int]] = []
@@ -437,23 +356,21 @@ class _Parser:
             elif ch == "]":
                 depth -= 1
                 if depth < 0:
-                    self.error("malformed bracketed literal", lineno, base_col + 1 + i, raw)
+                    self.error("malformed bracketed literal", base_col + 1 + i)
                     return None
             elif ch == "," and depth == 0:
                 items.append((inner[start:i], base_col + 1 + start))
                 start = i + 1
         if depth != 0:
-            self.error("malformed bracketed literal", lineno, base_col, raw)
+            self.error("malformed bracketed literal", base_col)
             return None
         items.append((inner[start:], base_col + 1 + start))
         if len(items) == 1 and not items[0][0].strip():
             return []
         return items
 
-    def parse_vector_literal(
-        self, text: str, lineno: int, base_col: int, raw: str
-    ) -> list[complex] | None:
-        items = self.split_bracketed(text, lineno, base_col, raw)
+    def parse_vector_literal(self, text: str, base_col: int) -> list[complex] | None:
+        items = self.split_bracketed(text, base_col)
         if items is None:
             return None
         out = []
@@ -462,26 +379,21 @@ class _Parser:
             value = parse_complex_literal(item_text)
             if value is None or not cmath.isfinite(value):
                 problem = "malformed" if value is None else "non-finite"
-                self.error(
-                    f"{problem} complex literal '{item_text.strip()}'", lineno, item_col, raw
-                )
+                self.error(f"{problem} complex literal '{item_text.strip()}'", item_col)
                 ok = False
             else:
                 out.append(value)
         return out if ok else None
 
-    def parse_matrix_literal(
-        self, text: str, lineno: int, base_col: int, raw: str
-    ) -> list[list[complex]] | None:
-        rows_raw = self.split_bracketed(text, lineno, base_col, raw)
+    def parse_matrix_literal(self, text: str, base_col: int) -> list[list[complex]] | None:
+        rows_raw = self.split_bracketed(text, base_col)
         if rows_raw is None:
             return None
         rows: list[list[complex]] = []
         ok = True
         for row_text, row_col in rows_raw:
-            stripped = row_text.strip()
             offset = row_col + (len(row_text) - len(row_text.lstrip()))
-            row = self.parse_vector_literal(stripped, lineno, offset, raw)
+            row = self.parse_vector_literal(row_text.strip(), offset)
             if row is None:
                 ok = False
             else:
@@ -489,9 +401,24 @@ class _Parser:
         if not ok:
             return None
         if rows and any(len(r) != len(rows[0]) for r in rows):
-            self.error("ragged matrix row", lineno, base_col, raw)
+            self.error("ragged matrix row", base_col)
             return None
         return rows
+
+
+# Each pattern matches what follows the kind word on a comment-free line.
+_RULES = {
+    "dim": (re.compile(r"\s+(?P<val>\S+)\s*"), _Parser.parse_dim),
+    "gate": (_RE_NAMED, _Parser.parse_gate),
+    "state": (_RE_NAMED, _Parser.parse_state),
+    "circuit": (_RE_NAMED, _Parser.parse_circuit),
+    "node": (re.compile(rf"\s+(?P<name>{_NAME})\s*:\s*(?P<ref>{_NAME})\s*"), _Parser.parse_node),
+    "edge": (
+        re.compile(rf"\s+(?P<a>{_NAME})\.(?P<x>{_NAME})\s*->\s*(?P<b>{_NAME})\.(?P<y>{_NAME})\s*"),
+        _Parser.parse_edge,
+    ),
+    "free": (re.compile(rf"\s+(?P<a>{_NAME})\.(?P<x>{_NAME})\s*"), _Parser.parse_free),
+}
 
 
 def parse(source: str) -> ParseResult:

@@ -120,6 +120,8 @@ BAD_INPUTS = [
     ("paths overflow", OVERFLOW, "paths", {"circuit": "c", "input": 1, "output": 1},
      cli.EXIT_SEMANTIC,
      "path 0,1 overflows double precision: weight inf 0.00000000000e+00, running sum inf 0.00000000000e+00"),
+    ("sample overflow", OVERFLOW, "sample", {"circuit": "c", "input": 1, "shots": 3, "seed": 1},
+     cli.EXIT_SEMANTIC, "amplitude (output 0, input 1) overflows double precision: matrix product inf nan"),
     ("verify overflow", OVERFLOW, "verify", {"circuit": "c"},
      cli.EXIT_SEMANTIC,
      "amplitude (output 0, input 0) overflows double precision: "

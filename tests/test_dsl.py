@@ -1,7 +1,10 @@
 """Document parsing: grammar, diagnostics, literals, round-tripping, fuzz."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qpath import dsl
 
@@ -12,6 +15,11 @@ gate H = [[1/sqrt2, 1/sqrt2], [1/sqrt2, -1/sqrt2]]
 gate X = [[0, 1], [1, 0]]
 circuit mz = H X H
 """
+
+
+# near-grammar words for the structured fuzz tests
+FUZZ_WORDS = ["dim", "gate", "state", "circuit", "node", "edge", "free",
+              "=", "->", ":", "[", "]", ",", "1", "i", "1/sqrt2", "H", ".", "#x"]
 
 
 def messages(result):
@@ -94,6 +102,14 @@ class TestDiagnostics:
         assert (gate.line, gate.column) == (2, 12)
         assert state.message == "non-finite complex literal '-2e400i'"
         assert (state.line, state.column) == (3, 14)
+
+    def test_dimension_must_be_decimal_digits(self):
+        # "²" is a digit to str.isdigit but not to int()
+        result = dsl.parse("dim ²\n")
+        assert [(d.message, d.line, d.column) for d in result.diagnostics] == [
+            ("invalid dimension '²'", 1, 5)
+        ]
+        assert dsl.parse("dim ٣\n").document.dim == 3
 
     def test_unknown_gate_in_circuit(self):
         result = dsl.parse("dim 2\ncircuit c = nope\n")
@@ -231,10 +247,96 @@ class TestBytesAndFuzz:
     def test_fuzz_structured_smoke(self):
         # mutated near-grammar strings exercise more of the line parsers
         rng = np.random.default_rng(99)
-        words = ["dim", "gate", "state", "circuit", "node", "edge", "free",
-                 "=", "->", ":", "[", "]", ",", "1", "i", "1/sqrt2", "H", ".", "#x"]
         for _ in range(2000):
             n = int(rng.integers(0, 12))
-            text = " ".join(words[int(k)] for k in rng.integers(0, len(words), size=n))
+            text = " ".join(FUZZ_WORDS[int(k)] for k in rng.integers(0, len(FUZZ_WORDS), size=n))
             result = dsl.parse(text)
             assert result.ok or all(d.line >= 1 and d.column >= 1 for d in result.diagnostics)
+
+
+# -- properties ---------------------------------------------------------------
+
+@given(st.binary())
+def test_parse_bytes_is_total(data):
+    result = dsl.parse_bytes(data)
+    assert result.ok != bool(result.diagnostics)
+    assert all(d.line >= 1 and d.column >= 1 for d in result.diagnostics)
+
+
+_WORD = st.sampled_from(FUZZ_WORDS + ["²", "٣", "\r", "\n"])
+_SHAPES = ["dim {}", "gate {} = {}", "state {} = {}", "circuit {} = {} {}", "node {} : {}",
+           "edge {}.{} -> {}.{}", "free {}.{}"]
+# declaration-shaped lines with fuzz words in every slot, mixed with free runs of words
+_SHAPED_LINE = st.sampled_from(_SHAPES).flatmap(
+    lambda shape: st.tuples(*[_WORD] * shape.count("{}")).map(lambda words: shape.format(*words))
+)
+NEAR_GRAMMAR = st.lists(
+    st.one_of(_SHAPED_LINE, st.lists(_WORD).map(" ".join)), max_size=6
+).map("\n".join)
+
+
+@settings(max_examples=300)
+@given(NEAR_GRAMMAR)
+def test_parse_bytes_is_total_on_near_grammar_text(text):
+    result = dsl.parse_bytes(text.encode())
+    assert result.ok != bool(result.diagnostics)
+    assert all(d.line >= 1 and d.column >= 1 for d in result.diagnostics)
+
+
+_FINITE = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(allow_nan=False, allow_infinity=False)
+)
+_ENTRY = st.builds(complex, _FINITE, _FINITE)
+
+
+def spell(z: complex) -> str:
+    """``a+bi`` with both parts written out, so signed zeros reach the parser."""
+    sign = "-" if math.copysign(1.0, z.imag) < 0 else "+"
+    return f"{z.real!r}{sign}{abs(z.imag)!r}i"
+
+
+@st.composite
+def valid_documents(draw):
+    d = draw(st.integers(1, 4))
+    lines = [f"dim {d}"]
+    gates = [f"G{k}" for k in range(draw(st.integers(0, 3)))]
+    for name in gates:
+        rows = [draw(st.lists(_ENTRY, min_size=d, max_size=d)) for _ in range(d)]
+        body = ", ".join("[" + ", ".join(spell(z) for z in row) + "]" for row in rows)
+        lines.append(f"gate {name} = [{body}]")
+    states = [f"s{k}" for k in range(draw(st.integers(0, 2)))]
+    for name in states:
+        entries = draw(st.lists(_ENTRY, min_size=d, max_size=d))
+        lines.append(f"state {name} = [" + ", ".join(spell(z) for z in entries) + "]")
+    if not gates:
+        return "\n".join(lines) + "\n"
+    for k in range(draw(st.integers(0, 2))):
+        tokens = draw(st.lists(st.sampled_from(gates), min_size=1, max_size=5))
+        lines.append(f"circuit c{k} = " + " ".join(tokens))
+    # a chain of gate nodes, fed by a state node or left free at its input
+    chain = draw(st.lists(st.sampled_from(gates), max_size=4))
+    lines += [f"node n{t} : {gate}" for t, gate in enumerate(chain)]
+    lines += [f"edge n{t}.out -> n{t + 1}.in" for t in range(len(chain) - 1)]
+    if chain:
+        if states and draw(st.booleans()):
+            lines += [f"node p : {states[0]}", "edge p.out -> n0.in"]
+        else:
+            lines.append("free n0.in")
+        lines.append(f"free n{len(chain) - 1}.out")
+    return "\n".join(lines) + "\n"
+
+
+@given(valid_documents())
+def test_print_parse_round_trip(source):
+    first = dsl.parse(source)
+    assert first.ok, first.diagnostics
+    printed = dsl.pretty_print(first.document)
+    second = dsl.parse(printed)
+    assert second.ok, second.diagnostics
+    assert documents_match(first.document, second.document)
+    assert dsl.pretty_print(second.document) == printed
+
+
+@given(st.complex_numbers(allow_nan=False, allow_infinity=False))
+def test_format_complex_reparses_property(z):
+    assert dsl.parse_complex_literal(dsl.format_complex(z)) == z

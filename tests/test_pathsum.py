@@ -264,7 +264,7 @@ _ENTRY = st.one_of(
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(data=st.data())
 def test_engine_matches_scalar_loop_property(data):
     d = data.draw(st.integers(1, 4), label="d")
