@@ -13,6 +13,7 @@ import argparse
 import cmath
 import math
 import sys
+from itertools import islice, product
 from pathlib import Path
 
 import numpy as np
@@ -70,25 +71,33 @@ def _cmd_eval(doc: dsl.Document, options: dict) -> tuple[str, int]:
 
 def _cmd_paths(doc: dsl.Document, options: dict) -> tuple[str, int]:
     pd = _circuit_diagram(doc, options["circuit"], options["input"], options.get("output"))
-    lines = []
-    running = 0j
-    for path in pathsum.enumerate_paths(pd):
-        running += path.weight
-        indices = ",".join(str(k) for k in path.indices)
-        # Once non-finite, the running sum stays so: the first such line names the culprit.
-        if not cmath.isfinite(running):
+    digits = [str(k) for k in range(pd.dim)]
+    last = digits if pd.output is pathsum.FREE else [str(pd.output)]
+    keys = map(",".join, product(*[digits] * (pd.n_layers - 1), last))
+    line = "{} {:.11e} {:.11e} {:.11e} {:.11e}\n".format
+    blocks = []
+    for re, im, run_re, run_im in pathsum._running_sums(pd, pathsum.DEFAULT_PATH_CAP):
+        # The first path whose running sum is not finite names the overflow.
+        overflow = ~(np.isfinite(run_re) & np.isfinite(run_im))
+        if overflow.any():
+            n = int(overflow.argmax())
             raise ValueError(
-                f"path {indices} overflows double precision: "
-                f"weight {pair12(path.weight)}, running sum {pair12(running)}"
+                f"path {next(islice(keys, n, None))} overflows double precision: "
+                f"weight {pair12(complex(re[n], im[n]))}, "
+                f"running sum {pair12(complex(run_re[n], run_im[n]))}"
             )
-        lines.append(f"{indices} {pair12(path.weight)} {pair12(running)}")
-    return "\n".join(lines) + "\n", EXIT_OK
+        # Adding 0.0 folds -0.0, as sci12 does.
+        columns = [(a + 0.0).tolist() for a in (re, im, run_re, run_im)]
+        blocks.append("".join(map(line, islice(keys, len(re)), *columns)))
+    return "".join(blocks), EXIT_OK
 
 
 def _cmd_sample(doc: dsl.Document, options: dict) -> tuple[str, int]:
     pd = _circuit_diagram(doc, options["circuit"], options["input"])
     u = pathsum.composition_matrix(pd)
-    _require_finite_column(u[:, pd.input], pd.input)
+    # born_probabilities checks the whole matrix, so name its overflow first, sampled column first.
+    for i in (pd.input, *range(doc.dim)):
+        _require_finite_column(u[:, i], i)
     psi = linalg.basis_ket(doc.dim, pd.input)
     probs = measure.born_probabilities(u, psi)
     record = measure.sample(probs, options["shots"], options["seed"])

@@ -13,10 +13,11 @@ paths and product terms covers vanishing terms too, and pruning would break
 the bijection with walks through the laboratory diagram.
 
 Weights are computed in numpy blocks of up to ``_BLOCK`` paths, equal bit
-for bit to a scalar product loop. Sums (``path_sum_amplitude``) stream
-those blocks and hold one at a time; listings (``enumerate_paths`` and the
-reports built on it) materialize one ``Path`` object per path. Both stop at
-the same path cap.
+for bit to a scalar product loop. Sums (``path_sum_amplitude``) and the
+``qpath paths`` listing stream those blocks, hold one at a time and add the
+weights in path order; the listing formats each block with its running sums
+as it comes. ``enumerate_paths`` and ``interference_report`` materialize one
+``Path`` object per path. All of them stop at the same path cap.
 """
 
 from __future__ import annotations
@@ -49,9 +50,10 @@ __all__ = [
 #: Sentinel for an unpinned output: enumerate over all final indices.
 FREE = None
 
-#: Fail loudly past this many paths. Listings materialize a ``Path`` per
-#: path, so the cap bounds their memory; sums stream in blocks of bounded
-#: memory, and the cap bounds their running time.
+#: Fail loudly past this many paths. ``enumerate_paths`` materializes a
+#: ``Path`` per path, so the cap bounds its memory; sums stream in blocks of
+#: bounded memory and the ``paths`` listing formats them block by block, so
+#: for them the cap bounds running time (and the listing's output text).
 DEFAULT_PATH_CAP = 10**6
 
 #: Paths per weight block computed by one round of array operations.
@@ -190,6 +192,32 @@ def _weight_blocks(pd: PathDiagram):
         )
 
 
+def _accumulate(carry: float, weights: np.ndarray) -> np.ndarray:
+    """Running sums of ``weights`` added in sequence to ``carry``, in one new array.
+
+    Element n is ``carry + w[0] + ... + w[n]`` added left to right, so a total
+    carried from block to block equals Python's ``total += w`` over the paths
+    in order: ``np.add.accumulate`` adds in sequence, where ``np.sum`` would
+    add pairwise.
+    """
+    return np.add.accumulate(np.concatenate(([carry], weights)))[1:]
+
+
+def _running_sums(pd: PathDiagram, cap: int):
+    """Yield ``(re, im, run_re, run_im)``: each weight block and its running sums.
+
+    ``run_re[n], run_im[n]`` is the sum of every weight up to and including
+    the block's n-th path, real and imaginary parts each carried from block
+    to block by ``_accumulate``, as Python's ``running += w`` adds them.
+    """
+    _require_layers(pd)
+    _check_cap(pd, cap)
+    run_re = run_im = (0.0,)
+    for re, im in _weight_blocks(pd):
+        run_re, run_im = _accumulate(run_re[-1], re), _accumulate(run_im[-1], im)
+        yield re, im, run_re, run_im
+
+
 def enumerate_paths(pd: PathDiagram, cap: int = DEFAULT_PATH_CAP) -> list[Path]:
     """All paths through the diagram in lexicographic index order.
 
@@ -224,9 +252,7 @@ def path_sum_amplitude(
     _check_cap(pinned, cap)
     total_re = total_im = 0.0
     for re, im in _weight_blocks(pinned):
-        # np.add.accumulate adds in sequence; np.sum would add pairwise.
-        total_re = np.add.accumulate(np.concatenate(([total_re], re)))[-1]
-        total_im = np.add.accumulate(np.concatenate(([total_im], im)))[-1]
+        total_re, total_im = _accumulate(total_re, re)[-1], _accumulate(total_im, im)[-1]
     return complex(total_re, total_im)
 
 

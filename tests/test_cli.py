@@ -1,14 +1,18 @@
 """Command line behavior: outputs, golden files, exit codes, determinism."""
 
+import cmath
 import subprocess
 import sys
 import warnings
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qpath import cli, dsl, pathsum
+from qpath.formatting import pair12
 
 GOLDEN = Path(__file__).parent / "golden"
 MZ = GOLDEN / "mz.qpd"
@@ -122,6 +126,9 @@ BAD_INPUTS = [
      "path 0,1 overflows double precision: weight inf 0.00000000000e+00, running sum inf 0.00000000000e+00"),
     ("sample overflow", OVERFLOW, "sample", {"circuit": "c", "input": 1, "shots": 3, "seed": 1},
      cli.EXIT_SEMANTIC, "amplitude (output 0, input 1) overflows double precision: matrix product inf nan"),
+    ("sample overflow outside the sampled column", "dim 2\ngate G = [[1e300, 0], [0, 1]]\ncircuit c = G G\n",
+     "sample", {"circuit": "c", "input": 1, "shots": 3, "seed": 1},
+     cli.EXIT_SEMANTIC, "amplitude (output 0, input 0) overflows double precision: matrix product inf nan"),
     ("verify overflow", OVERFLOW, "verify", {"circuit": "c"},
      cli.EXIT_SEMANTIC,
      "amplitude (output 0, input 0) overflows double precision: "
@@ -142,6 +149,118 @@ def test_bad_input_becomes_one_command_error(source, command, options, exit_code
             cli.run_command(doc, command, options)
     assert exc.value.exit_code == exit_code
     assert str(exc.value) == message
+
+
+def oracle_listing(pd):
+    """`paths` as it was written over `Path` objects: `pair12` and `running += w`."""
+    lines = []
+    running = 0j
+    with np.errstate(over="ignore", invalid="ignore"):
+        paths = pathsum.enumerate_paths(pd)
+    for path in paths:
+        running += path.weight
+        indices = ",".join(str(k) for k in path.indices)
+        if not cmath.isfinite(running):
+            return (
+                f"path {indices} overflows double precision: "
+                f"weight {pair12(path.weight)}, running sum {pair12(running)}"
+            )
+        lines.append(f"{indices} {pair12(path.weight)} {pair12(running)}")
+    return "\n".join(lines) + "\n"
+
+
+def circuit_doc(layers):
+    """A document whose circuit ``c`` applies ``layers`` in order."""
+    gates = {f"G{t}": np.asarray(m, dtype=complex) for t, m in enumerate(layers)}
+    return dsl.Document(dim=len(layers[0]), gates=gates, circuits={"c": tuple(gates)})
+
+
+def listing(doc, i, output):
+    """The `paths` text, or the message of the command error it raises."""
+    try:
+        text, code = cli.run_command(doc, "paths", {"circuit": "c", "input": i, "output": output})
+    except cli.CommandError as exc:
+        assert exc.exit_code == cli.EXIT_SEMANTIC
+        return str(exc)
+    assert code == cli.EXIT_OK
+    return text
+
+
+def assert_listing_matches_oracle(doc, i, output):
+    pd = pathsum.PathDiagram(doc.dim, tuple(doc.circuit_layers("c")), i, output)
+    assert listing(doc, i, output) == oracle_listing(pd)
+
+
+_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.7071067811865476]),
+    st.floats(-1e3, 1e3, allow_nan=False),
+)
+
+
+@st.composite
+def _layer(draw, d):
+    """Dense entries or a signed permutation (exact and signed zeros), sometimes scaled to overflow."""
+    if draw(st.booleans()):
+        parts = draw(st.lists(_ENTRY, min_size=2 * d * d, max_size=2 * d * d))
+        layer = np.empty((d, d), dtype=complex)
+        layer.real, layer.imag = np.array(parts).reshape(2, d, d)  # keeps signed zeros
+    else:
+        perm = draw(st.permutations(range(d)))
+        signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=d * d, max_size=d * d))
+        layer = np.eye(d)[list(perm)] * np.reshape(signs, (d, d)) + 0j
+    return layer * draw(st.sampled_from([1.0, 1.0, 1.0, 1e160, 1e160j]))
+
+
+class TestPathsListing:
+    """`paths` formats weight blocks; its text equals the `Path`-based listing byte for byte."""
+
+    @settings(max_examples=80)
+    @given(data=st.data())
+    def test_matches_path_listing_property(self, data):
+        d = data.draw(st.integers(1, 4), label="d")
+        L = data.draw(st.integers(1, 6), label="L")
+        layers = [data.draw(_layer(d), label=f"layer {t}") for t in range(L)]
+        i = data.draw(st.integers(0, d - 1), label="input")
+        output = data.draw(st.one_of(st.none(), st.integers(0, d - 1)), label="output")
+        block = data.draw(st.sampled_from([1, 4, 2**14]), label="block")
+        with mock.patch.object(pathsum, "_BLOCK", block):
+            assert_listing_matches_oracle(circuit_doc(layers), i, output)
+
+    @pytest.mark.parametrize("output", [None, 10])
+    def test_two_digit_indices(self, output):
+        rng = np.random.default_rng(11)
+        layers = [rng.standard_normal((11, 11)) + 1j * rng.standard_normal((11, 11)) for _ in range(3)]
+        doc = circuit_doc(layers)
+        assert_listing_matches_oracle(doc, 7, output)
+        assert listing(doc, 7, output).splitlines()[-1].startswith("10,10,10 ")
+
+    @pytest.mark.parametrize("layers,message", [
+        # Three factors of 1e120 overflow a weight, first on path 41 of 64: block 10, offset 1.
+        ([np.ones((2, 2)), [[1, 1e120], [1, 1e120]], [[1, 1], [1e120, 1e120]],
+          np.ones((2, 2)), np.ones((2, 2)), [[1, 1], [1e120, 1e120]]],
+         "path 1,0,1,0,0,1 overflows double precision: "
+         "weight inf 0.00000000000e+00, running sum inf 0.00000000000e+00"),
+        # Every weight is finite; the second 1e308 overflows the running sum: block 2, offset 1.
+        ([np.ones((2, 2)), [[1, 1e154], [1, 1e154]], [[1e154, 1], [1e154, 1]], np.ones((2, 2))],
+         "path 1,0,0,1 overflows double precision: "
+         "weight 1.00000000000e+308 0.00000000000e+00, running sum inf 0.00000000000e+00"),
+        # The first case with imaginary factors: only the imaginary part overflows.
+        ([np.ones((2, 2)), [[1, 1e120j], [1, 1e120j]], [[1, 1], [1e120j, 1e120j]],
+          np.ones((2, 2)), np.ones((2, 2)), [[1, 1], [1e120j, 1e120j]]],
+         "path 1,0,1,0,0,1 overflows double precision: "
+         "weight 0.00000000000e+00 -inf, running sum -1.30000000000e+241 -inf"),
+    ], ids=["weight", "running sum", "imaginary part"])
+    def test_overflow_in_a_later_block_is_named(self, monkeypatch, layers, message):
+        monkeypatch.setattr(pathsum, "_BLOCK", 4)
+        doc = circuit_doc(layers)
+        assert listing(doc, 0, None) == message
+        assert_listing_matches_oracle(doc, 0, None)
+
+    def test_builds_no_path_objects(self):
+        with mock.patch.object(pathsum, "Path", side_effect=AssertionError("Path built")):
+            text, code = cli.run_command(parse_file(MZ), "paths", {"circuit": "mz", "input": 0, "output": 1})
+        assert code == cli.EXIT_OK
+        assert text == (GOLDEN / "mz_paths.txt").read_text()
 
 
 class TestExitCodes:
