@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 parse error, 2 semantic error (unknown names,
 out-of-range indices, invalid inputs, a value that overflows double
-precision), 3 verification failure, 4 resource cap exceeded. All numeric
-output uses 12-significant-digit scientific notation so command output is
-byte-identical across runs for the same document, command, and seed.
+precision), 3 verification failure, 4 resource cap exceeded (paths, memory).
+All numeric output uses 12-significant-digit scientific notation so command
+output is byte-identical across runs for the same document, command, and seed.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ EXIT_VERIFY = 3
 EXIT_CAP = 4
 
 #: Absolute amplitude deviation allowed between the path and matrix routes.
-VERIFY_TOL = 1e-10
+VERIFY_TOL = linalg.AGREE_TOL
 
 
 class CommandError(Exception):
@@ -172,8 +172,8 @@ def run_command(doc: dsl.Document, command: str, options: dict) -> tuple[str, in
 
     Returns (output text, exit code). This is the commands' only error
     boundary: it raises CommandError with exit code 4 for an exceeded path
-    cap and exit code 2 for every ValueError (unknown names, out-of-range
-    indices, invalid inputs, values that overflow double precision).
+    cap or memory, and exit code 2 for every ValueError (unknown names,
+    out-of-range indices, invalid inputs, values that overflow double precision).
     """
     if command not in _COMMANDS:
         raise CommandError(EXIT_SEMANTIC, f"unknown command '{command}'")
@@ -181,8 +181,8 @@ def run_command(doc: dsl.Document, command: str, options: dict) -> tuple[str, in
         # Commands report overflow by name once it reaches a result, not as numpy warnings.
         with np.errstate(over="ignore", invalid="ignore"):
             return _COMMANDS[command](doc, options)
-    except pathsum.PathCapExceeded as exc:
-        raise CommandError(EXIT_CAP, str(exc)) from exc
+    except (pathsum.PathCapExceeded, MemoryError) as exc:
+        raise CommandError(EXIT_CAP, str(exc) or "out of memory") from exc
     except ValueError as exc:
         raise CommandError(EXIT_SEMANTIC, str(exc)) from exc
 

@@ -8,23 +8,33 @@ sparsity or decomposition machinery exists here.
 
 Equality of matrices and states is always tolerance based (max absolute
 entry difference); nothing in the public surface compares floats exactly.
+
+Shared checks run once, where a value enters: ``as_matrix``, ``as_state`` and
+``as_square`` (shape, finiteness), ``_check_acts_on`` (matrix against state),
+``_dim``, ``_index``; ``NORM_TOL`` (norms, unitarity, probability sums) and
+``AGREE_TOL`` (two routes to one value); checked arrays go straight to numpy.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-#: Tolerance on the squared norm for a state to count as normalized.
+#: Tolerance on a squared norm, a unitarity deviation or a probability sum.
 NORM_TOL = 1e-9
+
+#: Absolute amplitude deviation allowed between two routes to the same value.
+AGREE_TOL = 1e-10
 
 #: 1/sqrt(2), the balanced-splitter amplitude (equal to math.sqrt(0.5)).
 _SQRT1_2 = 0.7071067811865476
 
 __all__ = [
     "NORM_TOL",
+    "AGREE_TOL",
     "ShapeError",
     "as_matrix",
     "as_state",
+    "as_square",
     "matmul",
     "dagger",
     "inner_product",
@@ -68,6 +78,34 @@ def as_state(values) -> np.ndarray:
     return v
 
 
+def as_square(values) -> np.ndarray:
+    """Coerce with ``as_matrix``, requiring as many rows as columns."""
+    m = as_matrix(values)
+    if m.shape[0] != m.shape[1]:
+        raise ShapeError(f"expected a square matrix, got shape {m.shape}")
+    return m
+
+
+def _check_acts_on(m: np.ndarray, v: np.ndarray) -> None:
+    if m.shape[1] != v.shape[0]:
+        raise ShapeError(
+            f"dimension mismatch: matrix is {m.shape[0]}x{m.shape[1]}, "
+            f"state has dim {v.shape[0]}"
+        )
+
+
+def _dim(d) -> int:
+    if int(d) < 1:
+        raise ValueError(f"dimension must be positive, got {d}")
+    return int(d)
+
+
+def _index(kind: str, index, d) -> int:
+    if not 0 <= int(index) < int(d):
+        raise ValueError(f"{kind} index {index} out of range for dimension {d}")
+    return int(index)
+
+
 def matmul(a, b) -> np.ndarray:
     """Matrix product with an explicit shape check naming both shapes."""
     a = as_matrix(a)
@@ -100,10 +138,7 @@ def ket_bra(a, b) -> np.ndarray:
 
 def trace(m) -> complex:
     """Sum of diagonal entries of a square matrix."""
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ShapeError(f"trace requires a square matrix, got shape {m.shape}")
-    return complex(np.trace(m))
+    return complex(np.trace(as_square(m)))
 
 
 def tensor_product(a, b) -> np.ndarray:
@@ -113,25 +148,20 @@ def tensor_product(a, b) -> np.ndarray:
 
 def identity(d: int) -> np.ndarray:
     """Complex identity matrix of dimension ``d``."""
-    if int(d) < 1:
-        raise ValueError(f"dimension must be positive, got {d}")
-    return np.eye(int(d), dtype=complex)
+    return np.eye(_dim(d), dtype=complex)
 
 
 def basis_ket(d: int, i: int) -> np.ndarray:
     """Computational basis ket with a 1 at position ``i``."""
-    if not 0 <= int(i) < int(d):
-        raise ValueError(f"basis index {i} out of range for dimension {d}")
+    i = _index("basis", i, d)
     v = np.zeros(int(d), dtype=complex)
-    v[int(i)] = 1.0
+    v[i] = 1.0
     return v
 
 
 def unitarity_deviation(m) -> float:
     """Max absolute entry of ``m† m - I`` for a square matrix."""
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ShapeError(f"unitarity check requires a square matrix, got shape {m.shape}")
+    m = as_square(m)
     delta = m.conj().T @ m - np.eye(m.shape[0])
     return float(np.max(np.abs(delta)))
 

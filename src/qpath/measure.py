@@ -57,7 +57,7 @@ class MeasurementRecord:
     def __post_init__(self):
         if sum(self.counts) != self.shots:
             raise ValueError("counts must sum to shots")
-        if abs(sum(self.probabilities) - 1.0) > 1e-9:
+        if abs(sum(self.probabilities) - 1.0) > linalg.NORM_TOL:
             raise ValueError("probabilities must sum to 1 within 1e-9")
 
     def count_map(self) -> dict[int, int]:
@@ -77,15 +77,11 @@ def _unitary_and_unit_state(u, psi) -> tuple[np.ndarray, np.ndarray]:
     u = linalg.as_matrix(u)
     psi = linalg.as_state(psi)
     deviation = linalg.unitarity_deviation(u)
-    if deviation > 1e-9:
+    if deviation > linalg.NORM_TOL:
         raise ValueError(
             f"matrix is not unitary: max |U†U - I| entry is {deviation:.3e}"
         )
-    if u.shape[1] != psi.shape[0]:
-        raise linalg.ShapeError(
-            f"dimension mismatch: matrix is {u.shape[0]}x{u.shape[1]}, "
-            f"state has dim {psi.shape[0]}"
-        )
+    linalg._check_acts_on(u, psi)
     if not linalg.is_normalized(psi):
         raise ValueError(
             f"state is not normalized: squared norm is {float(np.vdot(psi, psi).real)!r}"
@@ -121,13 +117,16 @@ def sample(probabilities, shots: int, seed: int) -> MeasurementRecord:
         raise ValueError(f"expected a 1-D probability vector, got shape {p.shape}")
     if not np.all(np.isfinite(p)) or np.any(p < 0):
         raise ValueError("probabilities must be finite and non-negative")
-    if abs(float(p.sum()) - 1.0) > 1e-9:
+    if abs(float(p.sum()) - 1.0) > linalg.NORM_TOL:
         raise ValueError(f"probabilities sum to {float(p.sum())!r}, expected 1")
     shots = int(shots)
     if shots < 1:
         raise ValueError(f"shots must be positive, got {shots}")
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
 
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(seed)
     u = 1.0 - rng.random(shots)  # uniform on (0, 1]
     cum = np.cumsum(p)
     idx = np.searchsorted(cum, u, side="left")
@@ -137,16 +136,14 @@ def sample(probabilities, shots: int, seed: int) -> MeasurementRecord:
         shots=shots,
         counts=tuple(int(c) for c in counts),
         probabilities=tuple(float(x) for x in p),
-        seed=int(seed),
+        seed=seed,
     )
 
 
 def controlled(u) -> np.ndarray:
     """Extend u to a controlled gate: block diag(I, u), control on the first
     tensor factor (|0> leaves the identity, |1> applies u)."""
-    u = linalg.as_matrix(u)
-    if u.shape[0] != u.shape[1]:
-        raise linalg.ShapeError(f"controlled gate requires a square matrix, got {u.shape}")
+    u = linalg.as_square(u)
     d = u.shape[0]
     out = np.zeros((2 * d, 2 * d), dtype=complex)
     out[:d, :d] = np.eye(d)
@@ -192,7 +189,7 @@ def hadamard_test(u, psi, part: str, shots: int, seed: int) -> HadamardTestResul
     expectation = complex(np.vdot(psi, u @ psi))
     target = expectation.real if part == "real" else expectation.imag
     formula_p0 = 0.5 + 0.5 * target
-    if abs(exact_p0 - formula_p0) > 1e-10:
+    if abs(exact_p0 - formula_p0) > linalg.AGREE_TOL:
         raise ArithmeticError(
             f"circuit probability {exact_p0!r} disagrees with the closed form "
             f"{formula_p0!r}; the phase convention is broken"
@@ -219,9 +216,7 @@ def cup_cap_network(m) -> Network:
     free leg over the cap and cup applies m. Free legs, in order: the cap's
     open input, then the cup's open output.
     """
-    m = linalg.as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise linalg.ShapeError(f"expected a square matrix, got shape {m.shape}")
+    m = linalg.as_square(m)
     d = m.shape[0]
     cap = Tensor([("in0", d), ("in1", d)], m.T)
     cup = Tensor([("out0", d), ("out1", d)], np.eye(d, dtype=complex))
@@ -241,16 +236,12 @@ class TeleportCheck:
     agree: bool
 
 
-def teleport_check(m, phi, tol: float = 1e-10) -> TeleportCheck:
+def teleport_check(m, phi, tol: float = linalg.AGREE_TOL) -> TeleportCheck:
     """Verify the bent-wire identity: inserting |phi> into the cup/cap
     network for m and contracting yields the same vector as m @ phi."""
     m = linalg.as_matrix(m)
     phi = linalg.as_state(phi)
-    if m.shape[1] != phi.shape[0]:
-        raise linalg.ShapeError(
-            f"dimension mismatch: matrix is {m.shape[0]}x{m.shape[1]}, "
-            f"state has dim {phi.shape[0]}"
-        )
+    linalg._check_acts_on(m, phi)
     net = cup_cap_network(m).insert_ket(("cap", "in0"), phi)
     via_network = np.asarray(net.contract().data)
     direct = m @ phi

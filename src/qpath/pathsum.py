@@ -23,6 +23,7 @@ as it comes. ``enumerate_paths`` and ``interference_report`` materialize one
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -81,9 +82,7 @@ class PathDiagram:
     output: int | None = FREE
 
     def __post_init__(self):
-        d = int(self.dim)
-        if d < 1:
-            raise ValueError(f"dimension must be positive, got {self.dim}")
+        d = linalg._dim(self.dim)
         frozen = []
         for t, layer in enumerate(self.layers):
             m = linalg.as_matrix(layer)
@@ -96,9 +95,9 @@ class PathDiagram:
             frozen.append(m)
         object.__setattr__(self, "dim", d)
         object.__setattr__(self, "layers", tuple(frozen))
-        object.__setattr__(self, "input", _index("input", self.input, d))
+        object.__setattr__(self, "input", linalg._index("input", self.input, d))
         if self.output is not FREE:
-            object.__setattr__(self, "output", _index("output", self.output, d))
+            object.__setattr__(self, "output", linalg._index("output", self.output, d))
 
     @property
     def n_layers(self) -> int:
@@ -113,25 +112,17 @@ class Path:
     weight: complex
 
 
-def _index(kind: str, index, d: int) -> int:
-    if not 0 <= int(index) < d:
-        raise ValueError(f"{kind} index {index} out of range for dimension {d}")
-    return int(index)
-
-
 def _pinned(pd: PathDiagram, output_index) -> PathDiagram:
     """``pd`` with its output pinned, sharing its already-validated layers."""
     pinned = copy.copy(pd)
-    object.__setattr__(pinned, "output", _index("output", output_index, pd.dim))
+    object.__setattr__(pinned, "output", linalg._index("output", output_index, pd.dim))
     return pinned
 
 
-def _require_layers(pd: PathDiagram) -> None:
+def _check_cap(pd: PathDiagram, cap: float) -> None:
+    """Require at least one layer and at most ``cap`` paths."""
     if pd.n_layers == 0:
         raise ValueError("an empty composition has no diagram")
-
-
-def _check_cap(pd: PathDiagram, cap: int) -> None:
     d, L = pd.dim, pd.n_layers
     count = d**L if pd.output is FREE else d ** (L - 1)
     if count > cap:
@@ -210,7 +201,6 @@ def _running_sums(pd: PathDiagram, cap: int):
     the block's n-th path, real and imaginary parts each carried from block
     to block by ``_accumulate``, as Python's ``running += w`` adds them.
     """
-    _require_layers(pd)
     _check_cap(pd, cap)
     run_re = run_im = (0.0,)
     for re, im in _weight_blocks(pd):
@@ -225,7 +215,6 @@ def enumerate_paths(pd: PathDiagram, cap: int = DEFAULT_PATH_CAP) -> list[Path]:
     indices run free, the last index is forced to j); with a FREE output
     there are d**L. Zero-weight paths are included.
     """
-    _require_layers(pd)
     _check_cap(pd, cap)
     d, L = pd.dim, pd.n_layers
     tail = () if pd.output is FREE else (pd.output,)
@@ -247,7 +236,6 @@ def path_sum_amplitude(
     reassociation; the test suite holds the two routes together at 1e-10.
     The weights are added in path order, left to right, one block at a time.
     """
-    _require_layers(pd)
     pinned = _pinned(pd, output_index)
     _check_cap(pinned, cap)
     total_re = total_im = 0.0
@@ -258,10 +246,10 @@ def path_sum_amplitude(
 
 def composition_matrix(pd: PathDiagram) -> np.ndarray:
     """The matrix route: the product of the layers in application order."""
-    _require_layers(pd)
+    _check_cap(pd, math.inf)
     u = pd.layers[0]
     for layer in pd.layers[1:]:
-        u = linalg.matmul(layer, u)
+        u = layer @ u
     return u
 
 
@@ -278,7 +266,7 @@ class InterferenceReport:
 
 
 def interference_report(
-    pd: PathDiagram, output_index: int, tol: float = 1e-10
+    pd: PathDiagram, output_index: int, tol: float = linalg.AGREE_TOL
 ) -> InterferenceReport:
     """Classify how the paths into ``output_index`` combine.
 
@@ -286,7 +274,6 @@ def interference_report(
     add to more). Constructive: |sum| matches the sum of magnitudes within
     tol. Anything in between is mixed.
     """
-    _require_layers(pd)
     pinned = _pinned(pd, output_index)
     paths = tuple(enumerate_paths(pinned))
     total = complex(sum(p.weight for p in paths))
@@ -367,7 +354,7 @@ def emit_lab_diagram(pd: PathDiagram) -> LabDiagram:
     weighted line per layer; its weight product is the corresponding path
     weight, so the walk set is exactly the FREE-output path set.
     """
-    _require_layers(pd)
+    _check_cap(pd, math.inf)
     d, L = pd.dim, pd.n_layers
 
     nodes = ["prep"]

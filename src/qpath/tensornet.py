@@ -368,10 +368,7 @@ def brute_force_contract(net: Network) -> Tensor:
 
 def trace_network(m, node_id: str = "M") -> Network:
     """The closed-loop network for a square matrix: its contraction is tr(m)."""
-    m = linalg.as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise NetworkError(f"trace closure requires a square matrix, got shape {m.shape}")
-    tensor = Tensor.from_matrix(m)
+    tensor = Tensor.from_matrix(linalg.as_square(m))
     return Network({node_id: tensor}, edges=[((node_id, "out"), (node_id, "in"))])
 
 
@@ -384,13 +381,7 @@ def amplitude_via_density(a, b, m) -> complex:
     """
     a = linalg.as_state(a)
     b = linalg.as_state(b)
-    m = linalg.as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise linalg.ShapeError(f"expected a square matrix, got shape {m.shape}")
-    if a.shape[0] != m.shape[0] or b.shape[0] != m.shape[1]:
-        raise linalg.ShapeError(
-            f"dimension mismatch: states have dims {a.shape[0]}, {b.shape[0]}, "
-            f"matrix is {m.shape[0]}x{m.shape[1]}"
-        )
-    rho = linalg.ket_bra(b, a)
-    return linalg.trace(linalg.matmul(rho, m))
+    m = linalg.as_square(m)
+    linalg._check_acts_on(m, a)
+    linalg._check_acts_on(m, b)
+    return complex(np.trace(np.outer(b, a.conj()) @ m))

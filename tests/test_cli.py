@@ -1,6 +1,7 @@
 """Command line behavior: outputs, golden files, exit codes, determinism."""
 
 import cmath
+import os
 import subprocess
 import sys
 import warnings
@@ -95,6 +96,8 @@ class TestRunCommand:
 
 
 OVERFLOW = "dim 2\ngate G = [[1e300, 1e300], [1e300, 1e300]]\ncircuit c = G G\n"
+# A third layer multiplies an already overflowed product.
+OVERFLOW3 = OVERFLOW.replace("G G", "G G G")
 
 BAD_INPUTS = [
     # (name, document, command, options, exit code, message)
@@ -133,6 +136,15 @@ BAD_INPUTS = [
      cli.EXIT_SEMANTIC,
      "amplitude (output 0, input 0) overflows double precision: "
      "path sum inf 0.00000000000e+00, matrix product inf nan"),
+    ("verify overflow, three layers", OVERFLOW3, "verify", {"circuit": "c"},
+     cli.EXIT_SEMANTIC,
+     "amplitude (output 0, input 0) overflows double precision: "
+     "path sum inf nan, matrix product nan nan"),
+    ("sample overflow, three layers", OVERFLOW3, "sample",
+     {"circuit": "c", "input": 0, "shots": 3, "seed": 1},
+     cli.EXIT_SEMANTIC, "amplitude (output 0, input 0) overflows double precision: matrix product nan nan"),
+    ("negative seed", MZ.read_text(), "sample", {"circuit": "mz", "input": 0, "shots": 3, "seed": -1},
+     cli.EXIT_SEMANTIC, "seed must be non-negative, got -1"),
 ]
 
 
@@ -349,6 +361,32 @@ class TestExitCodes:
         proc = run_cli(["paths", str(doc), "--circuit", "deep", "--input", "0"])
         assert proc.returncode == 4
         assert "exceeding the cap" in proc.stderr
+
+    @pytest.mark.parametrize("document,argv", [
+        (MZ.read_text(), ["sample", "--circuit", "mz", "--input", "0", "--shots", "10000000000", "--seed", "1"]),
+        # Ten free dim-16 states contract to 16**10 amplitudes.
+        ("dim 16\nstate z = [" + ", ".join(["1"] + ["0"] * 15) + "]\n"
+         + "".join(f"node n{k} : z\nfree n{k}.out\n" for k in range(10)), ["contract"]),
+    ], ids=["sample", "contract"])
+    def test_result_too_large_for_memory_is_a_cap_exit(self, tmp_path, document, argv):
+        doc = tmp_path / "big.qpd"
+        doc.write_text(document)
+        # The child caps its own address space at 1 GiB, so no run allocates gigabytes.
+        child = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from qpath.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}  # few BLAS buffers below the cap
+        proc = subprocess.run(
+            [sys.executable, "-c", child, argv[0], str(doc), *argv[1:]],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == cli.EXIT_CAP, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("qpath: Unable to allocate ")
+        assert proc.stderr.count("\n") == 1
 
     def test_missing_file(self):
         proc = run_cli(["eval", "/nonexistent/x.qpd", "--circuit", "mz", "--input", "0"])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qpath import linalg
+from qpath import linalg, measure, tensornet
 from qpath.measure import HADAMARD, MIRROR
 
 
@@ -14,6 +14,20 @@ def random_state(rng, d):
 def random_matrix(rng, rows, cols=None):
     cols = rows if cols is None else cols
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+@pytest.mark.parametrize("takes_square", [
+    linalg.trace,
+    linalg.unitarity_deviation,
+    measure.controlled,
+    measure.cup_cap_network,
+    tensornet.trace_network,
+    lambda m: tensornet.amplitude_via_density(np.ones(2), np.ones(2), m),
+], ids=["trace", "unitarity_deviation", "controlled", "cup_cap_network", "trace_network",
+        "amplitude_via_density"])
+def test_square_check_has_one_error(takes_square):
+    with pytest.raises(linalg.ShapeError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+        takes_square(np.ones((2, 3)))
 
 
 class TestMatmul:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qpath import linalg
 from qpath.measure import (
@@ -102,6 +103,24 @@ class TestSample:
         assert a == b
         c = sample([0.5, 0.5], 10_000, seed=43)
         assert c != a
+
+    @given(
+        weights=st.lists(st.integers(0, 100), min_size=1, max_size=6).filter(any),
+        shots=st.integers(1, 2000),
+        seed=st.integers(0, 2**64 - 1),
+        global_seeds=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
+    )
+    def test_deterministic_whatever_the_global_rng(self, weights, shots, seed, global_seeds):
+        p = np.array(weights) / sum(weights)
+        saved = np.random.get_state()
+        try:
+            records = []
+            for global_seed in global_seeds:
+                np.random.seed(global_seed)
+                records.append(sample(p, shots, seed))
+        finally:
+            np.random.set_state(saved)
+        assert records[0] == records[1]
 
     def test_balanced_counts_within_binomial_bound(self):
         shots = 100_000

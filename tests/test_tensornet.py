@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qpath import linalg
 from qpath.tensornet import (
@@ -205,6 +206,16 @@ class TestContract:
                 order = [int(i) for i in rng.permutation(len(net.edges))]
                 again = net.contract(order=order)
                 assert linalg.max_abs_diff(baseline.data, again.data) <= 1e-9
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_any_order_matches_brute_force(self, seed, data):
+        net = random_network(np.random.default_rng(seed))
+        order = data.draw(st.permutations(range(len(net.edges))), label="order")
+        fast = net.contract(order=order)
+        slow = brute_force_contract(net)
+        assert fast.legs == slow.legs
+        assert linalg.max_abs_diff(fast.data, slow.data) <= 1e-9
 
     def test_two_parallel_lines_give_trace_of_product(self):
         rng = np.random.default_rng(14)
