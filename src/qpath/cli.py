@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dsl, linalg, measure, pathsum
-from .formatting import pair12, sci12
+from .formatting import _overflow, pair12, sci12
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -55,8 +55,7 @@ def _require_finite_column(column: np.ndarray, input_index: int) -> None:
     for j, amplitude in enumerate(column):
         if not cmath.isfinite(amplitude):
             raise ValueError(
-                f"amplitude (output {j}, input {input_index}) overflows double precision: "
-                f"matrix product {pair12(amplitude)}"
+                _overflow(f"amplitude (output {j}, input {input_index})", ("matrix product", amplitude))
             )
 
 
@@ -71,9 +70,7 @@ def _cmd_eval(doc: dsl.Document, options: dict) -> tuple[str, int]:
 
 def _cmd_paths(doc: dsl.Document, options: dict) -> tuple[str, int]:
     pd = _circuit_diagram(doc, options["circuit"], options["input"], options.get("output"))
-    digits = [str(k) for k in range(pd.dim)]
-    last = digits if pd.output is pathsum.FREE else [str(pd.output)]
-    keys = map(",".join, product(*[digits] * (pd.n_layers - 1), last))
+    keys = map(",".join, product(*[map(str, ks) for ks in pathsum._ranges(pd)]))
     line = "{} {:.11e} {:.11e} {:.11e} {:.11e}\n".format
     blocks = []
     for re, im, run_re, run_im in pathsum._running_sums(pd, pathsum.DEFAULT_PATH_CAP):
@@ -81,11 +78,11 @@ def _cmd_paths(doc: dsl.Document, options: dict) -> tuple[str, int]:
         overflow = ~(np.isfinite(run_re) & np.isfinite(run_im))
         if overflow.any():
             n = int(overflow.argmax())
-            raise ValueError(
-                f"path {next(islice(keys, n, None))} overflows double precision: "
-                f"weight {pair12(complex(re[n], im[n]))}, "
-                f"running sum {pair12(complex(run_re[n], run_im[n]))}"
-            )
+            raise ValueError(_overflow(
+                f"path {next(islice(keys, n, None))}",
+                ("weight", complex(re[n], im[n])),
+                ("running sum", complex(run_re[n], run_im[n])),
+            ))
         # Adding 0.0 folds -0.0, as sci12 does.
         columns = [(a + 0.0).tolist() for a in (re, im, run_re, run_im)]
         blocks.append("".join(map(line, islice(keys, len(re)), *columns)))
@@ -105,18 +102,20 @@ def _cmd_sample(doc: dsl.Document, options: dict) -> tuple[str, int]:
 
 
 def _cmd_verify(doc: dsl.Document, options: dict) -> tuple[str, int]:
-    diagrams = [_circuit_diagram(doc, options["circuit"], i) for i in range(doc.dim)]
+    pd = _circuit_diagram(doc, options["circuit"], 0)
+    u = pathsum.composition_matrix(pd)
     worst = 0.0
-    u = pathsum.composition_matrix(diagrams[0])
-    for i, pd in enumerate(diagrams):
+    for i in range(doc.dim):
+        pinned = pathsum._pinned(pd, input=i)
         for j in range(doc.dim):
-            amplitude = pathsum.path_sum_amplitude(pd, j)
+            amplitude = pathsum.path_sum_amplitude(pinned, j)
             deviation = abs(amplitude - u[j, i])
             if not math.isfinite(deviation):
-                raise ValueError(
-                    f"amplitude (output {j}, input {i}) overflows double precision: "
-                    f"path sum {pair12(amplitude)}, matrix product {pair12(u[j, i])}"
-                )
+                raise ValueError(_overflow(
+                    f"amplitude (output {j}, input {i})",
+                    ("path sum", amplitude),
+                    ("matrix product", u[j, i]),
+                ))
             worst = max(worst, deviation)
     ok = worst <= VERIFY_TOL
     text = f"{'PASS' if ok else 'FAIL'} max_deviation {sci12(worst)}\n"
@@ -156,14 +155,27 @@ def _cmd_hadamard_test(doc: dsl.Document, options: dict) -> tuple[str, int]:
     return "\n".join(lines) + "\n", EXIT_OK
 
 
+#: argparse settings of each ``--flag`` a subcommand can take.
+_FLAGS = {
+    "circuit": {"required": True},
+    "gate": {"required": True},
+    "state": {"required": True},
+    "input": {"required": True, "type": int},
+    "output": {"type": int},
+    "part": {"required": True, "choices": ["re", "im"]},
+    "shots": {"required": True, "type": int},
+    "seed": {"required": True, "type": int},
+}
+
+#: Each subcommand's handler and its flags, in the order its usage lists them.
 _COMMANDS = {
-    "eval": _cmd_eval,
-    "paths": _cmd_paths,
-    "sample": _cmd_sample,
-    "verify": _cmd_verify,
-    "contract": _cmd_contract,
-    "dot": _cmd_dot,
-    "hadamard-test": _cmd_hadamard_test,
+    "eval": (_cmd_eval, ("circuit", "input")),
+    "paths": (_cmd_paths, ("circuit", "input", "output")),
+    "sample": (_cmd_sample, ("circuit", "input", "shots", "seed")),
+    "verify": (_cmd_verify, ("circuit",)),
+    "contract": (_cmd_contract, ()),
+    "dot": (_cmd_dot, ("circuit", "input")),
+    "hadamard-test": (_cmd_hadamard_test, ("gate", "state", "part", "shots", "seed")),
 }
 
 
@@ -180,7 +192,7 @@ def run_command(doc: dsl.Document, command: str, options: dict) -> tuple[str, in
     try:
         # Commands report overflow by name once it reaches a result, not as numpy warnings.
         with np.errstate(over="ignore", invalid="ignore"):
-            return _COMMANDS[command](doc, options)
+            return _COMMANDS[command][0](doc, options)
     except (pathsum.PathCapExceeded, MemoryError) as exc:
         raise CommandError(EXIT_CAP, str(exc) or "out of memory") from exc
     except ValueError as exc:
@@ -193,39 +205,11 @@ def _build_arg_parser() -> argparse.ArgumentParser:
         description="Evaluate circuits and networks declared in a .qpd document.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, **flags):
+    for name, (_, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("file", help="path to a .qpd document")
-        for flag, kwargs in flags.items():
-            p.add_argument(f"--{flag}", **kwargs)
-        return p
-
-    add("eval", circuit={"required": True}, input={"required": True, "type": int})
-    add(
-        "paths",
-        circuit={"required": True},
-        input={"required": True, "type": int},
-        output={"type": int, "default": None},
-    )
-    add(
-        "sample",
-        circuit={"required": True},
-        input={"required": True, "type": int},
-        shots={"required": True, "type": int},
-        seed={"required": True, "type": int},
-    )
-    add("verify", circuit={"required": True})
-    add("contract")
-    add("dot", circuit={"required": True}, input={"required": True, "type": int})
-    add(
-        "hadamard-test",
-        gate={"required": True},
-        state={"required": True},
-        part={"required": True, "choices": ["re", "im"]},
-        shots={"required": True, "type": int},
-        seed={"required": True, "type": int},
-    )
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 

@@ -17,6 +17,12 @@ def pair12(z: complex) -> str:
     return f"{sci12(z.real)} {sci12(z.imag)}"
 
 
+def _overflow(subject: str, *values: tuple[str, complex]) -> str:
+    """``<subject> overflows double precision: <label> <pair12 value>, ...``, one pair per value."""
+    named = ", ".join(f"{label} {pair12(value)}" for label, value in values)
+    return f"{subject} overflows double precision: {named}"
+
+
 def complex6(z: complex) -> str:
     """Compact ``a+bi`` form with 6 significant digits, used for edge labels."""
     z = complex(z)

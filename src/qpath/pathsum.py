@@ -8,6 +8,10 @@ entries it traverses. Summing path weights reproduces the matrix-product
 amplitude entry for entry, which is the executable content of this module
 and is enforced by the test suite against the matrix route.
 
+Each index runs over every basis value, except that the last one is fixed
+when the output is pinned. ``_ranges`` states these index ranges once, for
+the path count, the weight blocks, the path list and the ``paths`` keys.
+
 Zero-weight paths are enumerated, never pruned: the correspondence between
 paths and product terms covers vanishing terms too, and pruning would break
 the bijection with walks through the laboratory diagram.
@@ -112,19 +116,27 @@ class Path:
     weight: complex
 
 
-def _pinned(pd: PathDiagram, output_index) -> PathDiagram:
-    """``pd`` with its output pinned, sharing its already-validated layers."""
+def _pinned(pd: PathDiagram, **ends: int) -> PathDiagram:
+    """``pd`` with the given ends (``input=i``, ``output=j``) pinned, sharing its validated layers."""
     pinned = copy.copy(pd)
-    object.__setattr__(pinned, "output", linalg._index("output", output_index, pd.dim))
+    for end, index in ends.items():
+        object.__setattr__(pinned, end, linalg._index(end, index, pd.dim))
     return pinned
+
+
+def _ranges(pd: PathDiagram) -> list[range]:
+    """The values each path index runs over: every k, the last fixed if the output is pinned."""
+    ranges = [range(pd.dim)] * pd.n_layers
+    if pd.output is not FREE:
+        ranges[-1] = range(pd.output, pd.output + 1)
+    return ranges
 
 
 def _check_cap(pd: PathDiagram, cap: float) -> None:
     """Require at least one layer and at most ``cap`` paths."""
     if pd.n_layers == 0:
         raise ValueError("an empty composition has no diagram")
-    d, L = pd.dim, pd.n_layers
-    count = d**L if pd.output is FREE else d ** (L - 1)
+    count = math.prod(map(len, _ranges(pd)))
     if count > cap:
         raise PathCapExceeded(
             f"diagram has {count} paths, exceeding the cap of {cap}"
@@ -134,37 +146,33 @@ def _check_cap(pd: PathDiagram, cap: float) -> None:
 def _weight_blocks(pd: PathDiagram):
     """Yield the weights of ``pd``'s paths as float64 ``(re, im)`` arrays.
 
-    Paths come in lexicographic index order, as ``enumerate_paths`` lists
-    them, in fresh arrays that the caller owns. The high-order indices run
-    in Python with scalar products. The low ``r`` indices vary within a
-    block of d**r paths; ``r`` is the largest count with d**r <= ``_BLOCK``,
-    except that a FREE output's last index always varies within a block.
+    Paths come in lexicographic order over the index ranges of ``_ranges``,
+    as ``enumerate_paths`` lists them, in fresh arrays that the caller owns.
+    The first ``h`` indices (the head) run in Python with scalar products.
+    The rest vary within a block, whose shape is the lengths of their
+    ranges: ``h`` is the smallest count for which a block holds at most
+    ``_BLOCK`` paths, except that the last index always varies within it.
 
     A block grows one layer at a time: each step multiplies every partial
-    weight by the layer entries it can continue into, by broadcasting.
-    Partial weights keep the newest index on axis 0, so every step's inner
-    loop runs along the long trailing axis; one transpose per block restores
-    lexicographic order.
+    weight by the entries of the layer in the rows its index range allows,
+    by broadcasting. Partial weights keep the newest index on axis 0, so
+    every step's inner loop runs along the long trailing axis; one
+    transpose per block restores lexicographic order.
 
     Each step computes ``re*br - im*bi, re*bi + im*br``, the formula of a
     scalar complex product, so every weight equals the scalar loop's
     ``w = 1; w *= layer[k, prev]`` bit for bit. numpy's vectorized complex
     multiply can differ from it in the last bit.
     """
-    d, L = pd.dim, pd.n_layers
-    pinned = pd.output is not FREE
-    n = L - 1 if pinned else L  # index positions that vary
-    r = 0 if pinned else 1
-    while r < n and d ** (r + 1) <= _BLOCK:
-        r += 1
-    h = n - r
+    ranges = _ranges(pd)
+    h = pd.n_layers - 1
+    while h > 0 and math.prod(map(len, ranges[h - 1 :])) <= _BLOCK:
+        h -= 1
+    rows = [slice(ks.start, ks.stop) for ks in ranges[h:]]
+    shape = [len(ks) for ks in reversed(ranges[h:])]
     parts = [(m.real.copy(), m.imag.copy()) for m in pd.layers]
-    # The rows each block layer can continue into: every k, or a pinned output.
-    rows = [slice(None)] * (L - h)
-    if pinned:
-        rows[-1] = slice(pd.output, pd.output + 1)
 
-    for head in product(range(d), repeat=h):
+    for head in product(*ranges[:h]):
         re, im, prev = 1.0, 0.0, pd.input
         for (mr, mi), k in zip(parts, head):
             br, bi = mr[k, prev], mi[k, prev]
@@ -177,10 +185,7 @@ def _weight_blocks(pd: PathDiagram):
             re, im = re * br - im * bi, re * bi + im * br
             re, im = re.reshape(len(re), -1), im.reshape(len(im), -1)
             prevs = slice(None)
-        yield (
-            re.reshape((d,) * r).transpose().reshape(-1),
-            im.reshape((d,) * r).transpose().reshape(-1),
-        )
+        yield re.reshape(shape).transpose().reshape(-1), im.reshape(shape).transpose().reshape(-1)
 
 
 def _accumulate(carry: float, weights: np.ndarray) -> np.ndarray:
@@ -216,15 +221,12 @@ def enumerate_paths(pd: PathDiagram, cap: int = DEFAULT_PATH_CAP) -> list[Path]:
     there are d**L. Zero-weight paths are included.
     """
     _check_cap(pd, cap)
-    d, L = pd.dim, pd.n_layers
-    tail = () if pd.output is FREE else (pd.output,)
-    indices = product(range(d), repeat=L - len(tail))
     weights = (
         complex(a, b)
         for re, im in _weight_blocks(pd)
         for a, b in zip(re.tolist(), im.tolist())
     )
-    return [Path(k + tail, w) for k, w in zip(indices, weights)]
+    return [Path(k, w) for k, w in zip(product(*_ranges(pd)), weights)]
 
 
 def path_sum_amplitude(
@@ -236,7 +238,7 @@ def path_sum_amplitude(
     reassociation; the test suite holds the two routes together at 1e-10.
     The weights are added in path order, left to right, one block at a time.
     """
-    pinned = _pinned(pd, output_index)
+    pinned = _pinned(pd, output=output_index)
     _check_cap(pinned, cap)
     total_re = total_im = 0.0
     for re, im in _weight_blocks(pinned):
@@ -274,7 +276,7 @@ def interference_report(
     add to more). Constructive: |sum| matches the sum of magnitudes within
     tol. Anything in between is mixed.
     """
-    pinned = _pinned(pd, output_index)
+    pinned = _pinned(pd, output=output_index)
     paths = tuple(enumerate_paths(pinned))
     total = complex(sum(p.weight for p in paths))
     magnitude = abs(total)

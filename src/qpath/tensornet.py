@@ -21,6 +21,7 @@ import itertools
 import numpy as np
 
 from . import linalg
+from .formatting import _overflow
 
 __all__ = [
     "NetworkError",
@@ -179,7 +180,9 @@ class Network:
         Disconnected remainders are combined by an outer product. ``order``
         optionally gives a permutation of edge indices to process; any
         permutation yields the same result up to float reassociation. A
-        network with no free legs contracts to a rank-0 tensor.
+        network with no free legs contracts to a rank-0 tensor. If an entry
+        overflows double precision, a NetworkError names the first one by the
+        key ``qpath contract`` prints for it (``-`` for a scalar).
         """
         if order is None:
             schedule = list(self.edges)
@@ -242,6 +245,10 @@ class Network:
 
         perm = [labels.index(p) for p in self.free_legs]
         out = np.transpose(arr, perm) if perm else arr
+        if not np.isfinite(out).all():
+            idx = tuple(np.argwhere(~np.isfinite(out))[0].tolist())
+            key = ",".join(map(str, idx)) or "-"
+            raise NetworkError(_overflow(f"entry {key}", ("contraction", out[idx])))
         out_legs = [(f"{node}.{leg}", self._dim_of((node, leg))) for node, leg in self.free_legs]
         return Tensor(out_legs, np.ascontiguousarray(out))
 

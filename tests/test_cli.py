@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from itertools import product
 from pathlib import Path
 from unittest import mock
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpath import cli, dsl, pathsum
+from qpath import cli, dsl, linalg, pathsum
 from qpath.formatting import pair12
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -89,6 +90,14 @@ class TestRunCommand:
         assert code == 0 and text.startswith("PASS max_deviation ")
         assert spy.call_count == 1
 
+    def test_verify_validates_layers_once(self):
+        rng = np.random.default_rng(8)
+        doc = circuit_doc([rng.standard_normal((8, 8)) / 8 for _ in range(5)])
+        with mock.patch.object(linalg, "as_matrix", wraps=linalg.as_matrix) as spy:
+            text, code = cli.run_command(doc, "verify", {"circuit": "c"})
+        assert code == 0 and text.startswith("PASS max_deviation ")
+        assert spy.call_count == 5
+
     def test_unknown_command(self):
         with pytest.raises(cli.CommandError) as exc:
             cli.run_command(parse_file(MZ), "nope", {})
@@ -98,6 +107,11 @@ class TestRunCommand:
 OVERFLOW = "dim 2\ngate G = [[1e300, 1e300], [1e300, 1e300]]\ncircuit c = G G\n"
 # A third layer multiplies an already overflowed product.
 OVERFLOW3 = OVERFLOW.replace("G G", "G G G")
+
+CONTRACT_OVERFLOW = (
+    "dim 2\ngate G = [[1e300, 1e300], [1e300, 1e300]]\nnode a : G\nnode b : G\n"
+    "edge a.out -> b.in\nfree a.in\nfree b.out\n"
+)
 
 BAD_INPUTS = [
     # (name, document, command, options, exit code, message)
@@ -143,6 +157,10 @@ BAD_INPUTS = [
     ("sample overflow, three layers", OVERFLOW3, "sample",
      {"circuit": "c", "input": 0, "shots": 3, "seed": 1},
      cli.EXIT_SEMANTIC, "amplitude (output 0, input 0) overflows double precision: matrix product nan nan"),
+    ("contract overflow", CONTRACT_OVERFLOW, "contract", {},
+     cli.EXIT_SEMANTIC, "entry 0,0 overflows double precision: contraction nan nan"),
+    ("contract overflow to a scalar", CONTRACT_OVERFLOW.replace("free a.in\nfree b.out", "edge b.out -> a.in"),
+     "contract", {}, cli.EXIT_SEMANTIC, "entry - overflows double precision: contraction inf nan"),
     ("negative seed", MZ.read_text(), "sample", {"circuit": "mz", "input": 0, "shots": 3, "seed": -1},
      cli.EXIT_SEMANTIC, "seed must be non-negative, got -1"),
 ]
@@ -273,6 +291,29 @@ class TestPathsListing:
             text, code = cli.run_command(parse_file(MZ), "paths", {"circuit": "mz", "input": 0, "output": 1})
         assert code == cli.EXIT_OK
         assert text == (GOLDEN / "mz_paths.txt").read_text()
+
+
+class TestArgParser:
+    """The parser built from the command table, driven through ``cli.main``."""
+
+    def test_paths_without_output_lists_every_path(self, capsys):
+        assert cli.main(["paths", str(MZ), "--circuit", "mz", "--input", "0"]) == cli.EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 8
+        assert [line.split()[0] for line in lines] == [",".join(k) for k in product("01", repeat=3)]
+
+    @pytest.mark.parametrize("argv,error", [
+        (["verify", str(MZ)], "the following arguments are required: --circuit"),
+        (["hadamard-test", str(HTEST), "--gate", "X", "--state", "zero", "--part", "xx",
+          "--shots", "10", "--seed", "0"], "argument --part: invalid choice: 'xx'"),
+    ], ids=["missing flag", "bad choice"])
+    def test_bad_flags_end_in_usage(self, capsys, argv, error):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: qpath {argv[0]} [-h] ")
+        assert f"qpath {argv[0]}: error: {error}" in err
 
 
 class TestExitCodes:

@@ -141,14 +141,17 @@ class TestPathSum:
         with pytest.raises(ValueError, match="out of range"):
             path_sum_amplitude(mach_zehnder(0), 2)
 
-    def test_pinning_an_output_does_not_revalidate_layers(self):
-        pd = PathDiagram(3, random_layers(np.random.default_rng(4), 3, 4), 1)
+    @pytest.mark.parametrize("end", ["output", "input"])
+    def test_pinning_an_output_does_not_revalidate_layers(self, end):
+        pd = PathDiagram(3, random_layers(np.random.default_rng(4), 3, 4), 1, 0)
         u = composition_matrix(pd)
         with mock.patch.object(linalg, "as_matrix", wraps=linalg.as_matrix) as spy:
-            sums = [path_sum_amplitude(pd, j) for j in range(pd.dim)]
+            pinned = [pathsum._pinned(pd, **{end: k}) for k in range(pd.dim)]
+            sums = [path_sum_amplitude(p, p.output) for p in pinned]
             report = interference_report(pd, 0)
         assert spy.call_count == 0
-        assert max(abs(s - u[j, 1]) for j, s in enumerate(sums)) <= 1e-10
+        assert [getattr(p, end) for p in pinned] == [0, 1, 2]
+        assert max(abs(s - u[p.output, p.input]) for p, s in zip(pinned, sums)) <= 1e-10
         assert report.output == 0 and len(report.paths) == 3**3
 
     def test_layer_order_convention(self):
