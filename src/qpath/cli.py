@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dsl, linalg, measure, pathsum
-from .formatting import _overflow, pair12, sci12
+from .formatting import _entry_key, _overflow, pair12, sci12
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -73,7 +73,7 @@ def _cmd_paths(doc: dsl.Document, options: dict) -> tuple[str, int]:
     keys = map(",".join, product(*[map(str, ks) for ks in pathsum._ranges(pd)]))
     line = "{} {:.11e} {:.11e} {:.11e} {:.11e}\n".format
     blocks = []
-    for re, im, run_re, run_im in pathsum._running_sums(pd, pathsum.DEFAULT_PATH_CAP):
+    for re, im, run_re, run_im in pathsum._running_sums(pd):
         # The first path whose running sum is not finite names the overflow.
         overflow = ~(np.isfinite(run_re) & np.isfinite(run_im))
         if overflow.any():
@@ -127,10 +127,8 @@ def _cmd_contract(doc: dsl.Document, options: dict) -> tuple[str, int]:
         raise ValueError("document declares no network nodes")
     result = doc.network().contract()
     lines = ["legs" + "".join(f" {name}" for name, _ in result.legs)]
-    data = np.asarray(result.data)
-    for idx in np.ndindex(*data.shape):
-        key = ",".join(str(k) for k in idx) if idx else "-"
-        lines.append(f"{key} {pair12(data[idx])}")
+    for idx in np.ndindex(*result.data.shape):
+        lines.append(f"{_entry_key(idx)} {pair12(result.data[idx])}")
     return "\n".join(lines) + "\n", EXIT_OK
 
 

@@ -23,6 +23,11 @@ def _overflow(subject: str, *values: tuple[str, complex]) -> str:
     return f"{subject} overflows double precision: {named}"
 
 
+def _entry_key(index: tuple[int, ...]) -> str:
+    """The key of a contraction entry: its indices joined by commas, ``-`` for a scalar."""
+    return ",".join(map(str, index)) or "-"
+
+
 def complex6(z: complex) -> str:
     """Compact ``a+bi`` form with 6 significant digits, used for edge labels."""
     z = complex(z)

@@ -13,6 +13,8 @@ Shared checks run once, where a value enters: ``as_matrix``, ``as_state`` and
 ``as_square`` (shape, finiteness), ``_check_acts_on`` (matrix against state),
 ``_dim``, ``_index``; ``NORM_TOL`` (norms, unitarity, probability sums) and
 ``AGREE_TOL`` (two routes to one value); checked arrays go straight to numpy.
+Functions read both tolerances when called, never as a default argument;
+only ``is_unitary`` and ``equal_within`` take a tolerance, as an argument.
 """
 
 from __future__ import annotations
@@ -176,10 +178,10 @@ def norm(v) -> float:
     return float(np.linalg.norm(as_state(v)))
 
 
-def is_normalized(v, tol: float = NORM_TOL) -> bool:
-    """True iff the squared norm is within ``tol`` of 1."""
+def is_normalized(v) -> bool:
+    """True iff the squared norm is within ``NORM_TOL`` of 1."""
     v = as_state(v)
-    return abs(float(np.vdot(v, v).real) - 1.0) <= tol
+    return abs(float(np.vdot(v, v).real) - 1.0) <= NORM_TOL
 
 
 def normalize(v) -> np.ndarray:

@@ -58,7 +58,7 @@ class MeasurementRecord:
         if sum(self.counts) != self.shots:
             raise ValueError("counts must sum to shots")
         if abs(sum(self.probabilities) - 1.0) > linalg.NORM_TOL:
-            raise ValueError("probabilities must sum to 1 within 1e-9")
+            raise ValueError(f"probabilities must sum to 1 within {linalg.NORM_TOL}")
 
     def count_map(self) -> dict[int, int]:
         return dict(enumerate(self.counts))
@@ -236,14 +236,14 @@ class TeleportCheck:
     agree: bool
 
 
-def teleport_check(m, phi, tol: float = linalg.AGREE_TOL) -> TeleportCheck:
+def teleport_check(m, phi) -> TeleportCheck:
     """Verify the bent-wire identity: inserting |phi> into the cup/cap
-    network for m and contracting yields the same vector as m @ phi."""
+    network for m and contracting yields m @ phi within ``linalg.AGREE_TOL``."""
     m = linalg.as_matrix(m)
     phi = linalg.as_state(phi)
     linalg._check_acts_on(m, phi)
     net = cup_cap_network(m).insert_ket(("cap", "in0"), phi)
     via_network = np.asarray(net.contract().data)
     direct = m @ phi
-    agree = bool(linalg.max_abs_diff(via_network, direct) <= tol)
+    agree = bool(linalg.max_abs_diff(via_network, direct) <= linalg.AGREE_TOL)
     return TeleportCheck(via_network=via_network, direct=direct, agree=agree)

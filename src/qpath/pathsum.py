@@ -199,14 +199,14 @@ def _accumulate(carry: float, weights: np.ndarray) -> np.ndarray:
     return np.add.accumulate(np.concatenate(([carry], weights)))[1:]
 
 
-def _running_sums(pd: PathDiagram, cap: int):
+def _running_sums(pd: PathDiagram):
     """Yield ``(re, im, run_re, run_im)``: each weight block and its running sums.
 
     ``run_re[n], run_im[n]`` is the sum of every weight up to and including
     the block's n-th path, real and imaginary parts each carried from block
     to block by ``_accumulate``, as Python's ``running += w`` adds them.
     """
-    _check_cap(pd, cap)
+    _check_cap(pd, DEFAULT_PATH_CAP)
     run_re = run_im = (0.0,)
     for re, im in _weight_blocks(pd):
         run_re, run_im = _accumulate(run_re[-1], re), _accumulate(run_im[-1], im)
@@ -267,15 +267,14 @@ class InterferenceReport:
     verdict: str  # "destructive" | "constructive" | "mixed"
 
 
-def interference_report(
-    pd: PathDiagram, output_index: int, tol: float = linalg.AGREE_TOL
-) -> InterferenceReport:
-    """Classify how the paths into ``output_index`` combine.
+def interference_report(pd: PathDiagram, output_index: int) -> InterferenceReport:
+    """Classify how the paths into ``output_index`` combine, with tol ``linalg.AGREE_TOL``.
 
     Destructive: the weights cancel (|sum| <= tol although the magnitudes
     add to more). Constructive: |sum| matches the sum of magnitudes within
     tol. Anything in between is mixed.
     """
+    tol = linalg.AGREE_TOL
     pinned = _pinned(pd, output=output_index)
     paths = tuple(enumerate_paths(pinned))
     total = complex(sum(p.weight for p in paths))

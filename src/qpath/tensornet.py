@@ -17,11 +17,12 @@ oracle, sharing no code with the engine.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
 from . import linalg
-from .formatting import _overflow
+from .formatting import _entry_key, _overflow
 
 __all__ = [
     "NetworkError",
@@ -60,7 +61,7 @@ class Tensor:
         if any(dim < 1 for dim in dims):
             raise NetworkError(f"leg dimensions must be positive, got {dims}")
         arr = np.asarray(data, dtype=complex)
-        size = int(np.prod(dims)) if dims else 1
+        size = math.prod(dims)
         if arr.shape == (size,) and arr.shape != dims:
             arr = arr.reshape(dims)
         if arr.shape != dims:
@@ -76,16 +77,16 @@ class Tensor:
         raise AttributeError("Tensor is immutable")
 
     @classmethod
-    def from_matrix(cls, m, out: str = "out", in_: str = "in") -> "Tensor":
-        """View a matrix as a rank-2 tensor with (out, in) legs: data[o, i] = m[o, i]."""
+    def from_matrix(cls, m) -> "Tensor":
+        """View a matrix as a gate box: legs ``("out", "in")``, data[o, i] = m[o, i]."""
         m = linalg.as_matrix(m)
-        return cls([(out, m.shape[0]), (in_, m.shape[1])], m)
+        return cls([("out", m.shape[0]), ("in", m.shape[1])], m)
 
     @classmethod
-    def from_state(cls, v, name: str = "out") -> "Tensor":
-        """View a ket as a rank-1 tensor."""
+    def from_state(cls, v) -> "Tensor":
+        """View a ket as a state box: one leg, ``"out"``."""
         v = linalg.as_state(v)
-        return cls([(name, v.shape[0])], v)
+        return cls([("out", v.shape[0])], v)
 
     @property
     def rank(self) -> int:
@@ -247,10 +248,9 @@ class Network:
         out = np.transpose(arr, perm) if perm else arr
         if not np.isfinite(out).all():
             idx = tuple(np.argwhere(~np.isfinite(out))[0].tolist())
-            key = ",".join(map(str, idx)) or "-"
-            raise NetworkError(_overflow(f"entry {key}", ("contraction", out[idx])))
+            raise NetworkError(_overflow(f"entry {_entry_key(idx)}", ("contraction", out[idx])))
         out_legs = [(f"{node}.{leg}", self._dim_of((node, leg))) for node, leg in self.free_legs]
-        return Tensor(out_legs, np.ascontiguousarray(out))
+        return Tensor(out_legs, out)
 
     # -- graph surgery -----------------------------------------------------
 
@@ -312,7 +312,7 @@ class Network:
                 f"leg {_fmt_endpoint(free_leg)} has dim {want}"
             )
         node_id = self._fresh_id(prefix)
-        grown = self.add_node(node_id, Tensor.from_state(amplitudes, name="out"))
+        grown = self.add_node(node_id, Tensor.from_state(amplitudes))
         return grown.wire((node_id, "out"), free_leg)
 
     def insert_ket(self, free_leg, state) -> "Network":
@@ -373,10 +373,10 @@ def brute_force_contract(net: Network) -> Tensor:
     return Tensor(out_legs, out)
 
 
-def trace_network(m, node_id: str = "M") -> Network:
-    """The closed-loop network for a square matrix: its contraction is tr(m)."""
+def trace_network(m) -> Network:
+    """The closed loop ``M.out -- M.in`` on one node ``M`` holding m: it contracts to tr(m)."""
     tensor = Tensor.from_matrix(linalg.as_square(m))
-    return Network({node_id: tensor}, edges=[((node_id, "out"), (node_id, "in"))])
+    return Network({"M": tensor}, edges=[(("M", "out"), ("M", "in"))])
 
 
 def amplitude_via_density(a, b, m) -> complex:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qpath import linalg, measure, tensornet
+from qpath import linalg, measure, pathsum, tensornet
 from qpath.measure import HADAMARD, MIRROR
 
 
@@ -28,6 +28,24 @@ def random_matrix(rng, rows, cols=None):
 def test_square_check_has_one_error(takes_square):
     with pytest.raises(linalg.ShapeError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
         takes_square(np.ones((2, 3)))
+
+
+def _mixed_branch_verdict():
+    # test_mixed_branch's diagram: |sum| 1 against a weight sum of 2
+    w = np.exp(2j * np.pi / 3)
+    layers = (np.array([[1, 0], [1, 0]]), np.array([[w, 1], [0, 0]]))
+    return pathsum.interference_report(pathsum.PathDiagram(2, layers, 0), 0).verdict
+
+
+@pytest.mark.parametrize("name, value, result, expected", [
+    ("AGREE_TOL", 10, _mixed_branch_verdict, "constructive"),
+    ("AGREE_TOL", -1,
+     lambda: measure.teleport_check(np.eye(2), linalg.basis_ket(2, 0)).agree, False),
+    ("NORM_TOL", 10, lambda: linalg.is_normalized([2, 0]), True),
+], ids=["interference_report", "teleport_check", "is_normalized"])
+def test_tolerances_are_read_when_called(monkeypatch, name, value, result, expected):
+    monkeypatch.setattr(linalg, name, value)
+    assert result() == expected
 
 
 class TestMatmul:
