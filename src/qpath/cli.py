@@ -106,9 +106,8 @@ def _cmd_verify(doc: dsl.Document, options: dict) -> tuple[str, int]:
     u = pathsum.composition_matrix(pd)
     worst = 0.0
     for i in range(doc.dim):
-        pinned = pathsum._pinned(pd, input=i)
-        for j in range(doc.dim):
-            amplitude = pathsum.path_sum_amplitude(pinned, j)
+        sums = pathsum._column_sums(pathsum._pinned(pd, input=i))
+        for j, amplitude in enumerate(sums):
             deviation = abs(amplitude - u[j, i])
             if not math.isfinite(deviation):
                 raise ValueError(_overflow(

@@ -17,11 +17,14 @@ paths and product terms covers vanishing terms too, and pruning would break
 the bijection with walks through the laboratory diagram.
 
 Weights are computed in numpy blocks of up to ``_BLOCK`` paths, equal bit
-for bit to a scalar product loop. Sums (``path_sum_amplitude``) and the
-``qpath paths`` listing stream those blocks, hold one at a time and add the
-weights in path order; the listing formats each block with its running sums
-as it comes. ``enumerate_paths`` and ``interference_report`` materialize one
-``Path`` object per path. All of them stop at the same path cap.
+for bit to a scalar product loop. Sums and the ``qpath paths`` listing
+stream those blocks, hold one at a time and add the weights in path order.
+``path_sum_amplitude`` sums the paths into one output; ``_column_sums``, which
+``qpath verify`` calls once per input, adds the paths into every output in one
+pass, each output's column in the same order and to the same bits. The
+listing formats each block with its running sums as it comes.
+``enumerate_paths`` and ``interference_report`` materialize one ``Path``
+object per path. All of them stop at the same path cap.
 """
 
 from __future__ import annotations
@@ -188,13 +191,14 @@ def _weight_blocks(pd: PathDiagram):
         yield re.reshape(shape).transpose().reshape(-1), im.reshape(shape).transpose().reshape(-1)
 
 
-def _accumulate(carry: float, weights: np.ndarray) -> np.ndarray:
+def _accumulate(carry: float | np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Running sums of ``weights`` added in sequence to ``carry``, in one new array.
 
     Element n is ``carry + w[0] + ... + w[n]`` added left to right, so a total
     carried from block to block equals Python's ``total += w`` over the paths
     in order: ``np.add.accumulate`` adds in sequence, where ``np.sum`` would
-    add pairwise.
+    add pairwise. Under a carry row, the columns of a 2-D block of rows add
+    the same way, each on its own: ``np.add.accumulate`` runs along axis 0.
     """
     return np.add.accumulate(np.concatenate(([carry], weights)))[1:]
 
@@ -244,6 +248,22 @@ def path_sum_amplitude(
     for re, im in _weight_blocks(pinned):
         total_re, total_im = _accumulate(total_re, re)[-1], _accumulate(total_im, im)[-1]
     return complex(total_re, total_im)
+
+
+def _column_sums(pd: PathDiagram) -> list[complex]:
+    """The path sums into every output of ``pd``, whose output is FREE, in one pass.
+
+    Each weight block, reshaped to ``(n, d)``, holds the output index on its
+    last axis, so ``_accumulate`` under a carry row adds each output's paths in
+    path order: element j equals ``path_sum_amplitude(pd, j)`` bit for bit.
+    The cap holds per amplitude, on the d**(L-1) paths into one output.
+    """
+    _check_cap(_pinned(pd, output=0), DEFAULT_PATH_CAP)
+    total_re = total_im = np.zeros(pd.dim)
+    for re, im in _weight_blocks(pd):
+        re, im = re.reshape(-1, pd.dim), im.reshape(-1, pd.dim)
+        total_re, total_im = _accumulate(total_re, re)[-1], _accumulate(total_im, im)[-1]
+    return list(map(complex, total_re.tolist(), total_im.tolist()))
 
 
 def composition_matrix(pd: PathDiagram) -> np.ndarray:

@@ -98,6 +98,25 @@ class TestRunCommand:
         assert code == 0 and text.startswith("PASS max_deviation ")
         assert spy.call_count == 5
 
+    def test_verify_sums_each_input_in_one_pass(self):
+        rng = np.random.default_rng(8)
+        doc = circuit_doc([rng.standard_normal((8, 8)) / 8 for _ in range(3)])
+        with mock.patch.object(pathsum, "_weight_blocks", wraps=pathsum._weight_blocks) as spy:
+            text, code = cli.run_command(doc, "verify", {"circuit": "c"})
+        assert code == 0 and text.startswith("PASS max_deviation ")
+        assert spy.call_count == 8
+        assert all(call.args[0].output is pathsum.FREE for call in spy.call_args_list)
+
+    def test_verify_caps_the_paths_into_one_output(self):
+        # 20 layers: 2**19 paths per amplitude, 2**20 per input's pass over both outputs
+        hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        text, code = cli.run_command(circuit_doc([hadamard] * 20), "verify", {"circuit": "c"})
+        assert code == 0 and text.startswith("PASS max_deviation ")
+        with pytest.raises(cli.CommandError) as exc:
+            cli.run_command(circuit_doc([hadamard] * 21), "verify", {"circuit": "c"})
+        assert exc.value.exit_code == cli.EXIT_CAP
+        assert str(exc.value) == "diagram has 1048576 paths, exceeding the cap of 1000000"
+
     def test_unknown_command(self):
         with pytest.raises(cli.CommandError) as exc:
             cli.run_command(parse_file(MZ), "nope", {})

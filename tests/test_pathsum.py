@@ -283,6 +283,68 @@ def test_engine_matches_scalar_loop_property(data):
         assert_engine_matches_oracle(PathDiagram(d, tuple(layers), i, output))
 
 
+@st.composite
+def column_layer(draw, d):
+    """A signed permutation (exact and signed zeros) or a dense layer, scaled to overflow or not."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    if draw(st.booleans(), label="permutation"):
+        layer = np.empty((d, d), dtype=complex)
+        layer.real = np.eye(d)[rng.permutation(d)] * rng.choice([-1.0, 1.0], size=(d, d))
+        layer.imag = rng.choice([-0.0, 0.0], size=(d, d))
+        return layer
+    # Unscaled twice as often as either overflowing scale, so that rounding shows in most sums.
+    scale = draw(st.sampled_from([1, 1, 1e160, 1e160j]), label="scale")
+    return (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) * scale
+
+
+def dense_layers(d, L):
+    """Dense complex layers: every path adds to its column, so the order of additions shows."""
+    rng = np.random.default_rng(10 * d + L)
+    return tuple(rng.standard_normal((L, d, d)) + 1j * rng.standard_normal((L, d, d)))
+
+
+def assert_columns_equal_pinned_sums(pd):
+    columns = pathsum._column_sums(pd)
+    assert list(map(repr, columns)) == [repr(path_sum_amplitude(pd, j)) for j in range(pd.dim)]
+
+
+class TestColumnSums:
+    """Each column of a pass over every output equals that output's pinned sum, bit for bit."""
+
+    @pytest.mark.parametrize("block", [1, 4, 16, pathsum._BLOCK])
+    @pytest.mark.parametrize("d,L", [(1, 3), (2, 1), (2, 6), (3, 4), (4, 3)])
+    def test_columns_equal_pinned_sums(self, block, d, L):
+        layers = dense_layers(d, L)
+        with mock.patch.object(pathsum, "_BLOCK", block):
+            for i in range(d):
+                assert_columns_equal_pinned_sums(PathDiagram(d, layers, i))
+
+    @pytest.mark.parametrize("d,L", [(2, 16), (8, 5)])
+    def test_columns_carried_across_full_blocks(self, d, L):
+        pd = PathDiagram(d, dense_layers(d, L), 1)
+        assert len(list(pathsum._weight_blocks(pd))) > 1
+        assert_columns_equal_pinned_sums(pd)
+
+    @settings(max_examples=80)
+    @given(data=st.data())
+    def test_columns_equal_pinned_sums_property(self, data):
+        d = data.draw(st.integers(1, 4), label="d")
+        L = data.draw(st.integers(1, 6), label="L")
+        layers = tuple(data.draw(column_layer(d), label=f"layer {t}") for t in range(L))
+        pd = PathDiagram(d, layers, data.draw(st.integers(0, d - 1), label="input"))
+        block = data.draw(st.sampled_from([1, 4, pathsum._BLOCK]), label="block")
+        with mock.patch.object(pathsum, "_BLOCK", block), np.errstate(over="ignore", invalid="ignore"):
+            assert_columns_equal_pinned_sums(pd)
+
+    def test_cap_counts_the_paths_into_one_output(self, monkeypatch):
+        pd = PathDiagram(2, (HADAMARD,) * 3, 0)
+        monkeypatch.setattr(pathsum, "DEFAULT_PATH_CAP", 4)
+        assert len(pathsum._column_sums(pd)) == 2
+        monkeypatch.setattr(pathsum, "DEFAULT_PATH_CAP", 3)
+        with pytest.raises(PathCapExceeded, match="^diagram has 4 paths, exceeding the cap of 3$"):
+            pathsum._column_sums(pd)
+
+
 class TestInterference:
     def test_destructive_branch(self):
         report = interference_report(mach_zehnder(0), 1)
