@@ -60,9 +60,6 @@ class MeasurementRecord:
         if abs(sum(self.probabilities) - 1.0) > linalg.NORM_TOL:
             raise ValueError(f"probabilities must sum to 1 within {linalg.NORM_TOL}")
 
-    def count_map(self) -> dict[int, int]:
-        return dict(enumerate(self.counts))
-
     def render(self) -> str:
         """Line-oriented text report: header with shots/seed, then one line
         per outcome with index, count, and theoretical probability."""

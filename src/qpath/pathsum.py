@@ -19,9 +19,10 @@ the bijection with walks through the laboratory diagram.
 Weights are computed in numpy blocks of up to ``_BLOCK`` paths, equal bit
 for bit to a scalar product loop. Sums and the ``qpath paths`` listing
 stream those blocks, hold one at a time and add the weights in path order.
-``path_sum_amplitude`` sums the paths into one output; ``_column_sums``, which
-``qpath verify`` calls once per input, adds the paths into every output in one
-pass, each output's column in the same order and to the same bits. The
+One summation, ``_column_sums``, adds the paths into every output the
+diagram allows in one pass, each output's column in path order: ``qpath
+verify`` calls it once per input with the output FREE, and
+``path_sum_amplitude`` is its one-column case, with the output pinned. The
 listing formats each block with its running sums as it comes.
 ``enumerate_paths`` and ``interference_report`` materialize one ``Path``
 object per path. All of them stop at the same path cap.
@@ -62,6 +63,7 @@ FREE = None
 #: ``Path`` per path, so the cap bounds its memory; sums stream in blocks of
 #: bounded memory and the ``paths`` listing formats them block by block, so
 #: for them the cap bounds running time (and the listing's output text).
+#: Every check reads it when called, so setting it changes the cap everywhere.
 DEFAULT_PATH_CAP = 10**6
 
 #: Paths per weight block computed by one round of array operations.
@@ -217,14 +219,14 @@ def _running_sums(pd: PathDiagram):
         yield re, im, run_re, run_im
 
 
-def enumerate_paths(pd: PathDiagram, cap: int = DEFAULT_PATH_CAP) -> list[Path]:
+def enumerate_paths(pd: PathDiagram) -> list[Path]:
     """All paths through the diagram in lexicographic index order.
 
     With the output pinned to j there are exactly d**(L-1) paths (interior
     indices run free, the last index is forced to j); with a FREE output
     there are d**L. Zero-weight paths are included.
     """
-    _check_cap(pd, cap)
+    _check_cap(pd, DEFAULT_PATH_CAP)
     weights = (
         complex(a, b)
         for re, im in _weight_blocks(pd)
@@ -233,35 +235,31 @@ def enumerate_paths(pd: PathDiagram, cap: int = DEFAULT_PATH_CAP) -> list[Path]:
     return [Path(k, w) for k, w in zip(product(*_ranges(pd)), weights)]
 
 
-def path_sum_amplitude(
-    pd: PathDiagram, output_index: int, cap: int = DEFAULT_PATH_CAP
-) -> complex:
+def path_sum_amplitude(pd: PathDiagram, output_index: int) -> complex:
     """Sum of path weights with the output pinned to ``output_index``.
 
     Equals the matrix-product amplitude <j|UL...U1|i> up to float
     reassociation; the test suite holds the two routes together at 1e-10.
-    The weights are added in path order, left to right, one block at a time.
+    It is the one-column case of ``_column_sums``.
     """
-    pinned = _pinned(pd, output=output_index)
-    _check_cap(pinned, cap)
-    total_re = total_im = 0.0
-    for re, im in _weight_blocks(pinned):
-        total_re, total_im = _accumulate(total_re, re)[-1], _accumulate(total_im, im)[-1]
-    return complex(total_re, total_im)
+    return _column_sums(_pinned(pd, output=output_index))[0]
 
 
 def _column_sums(pd: PathDiagram) -> list[complex]:
-    """The path sums into every output of ``pd``, whose output is FREE, in one pass.
+    """The path sums into each output ``pd`` allows, in one pass: every output if FREE, else one.
 
-    Each weight block, reshaped to ``(n, d)``, holds the output index on its
-    last axis, so ``_accumulate`` under a carry row adds each output's paths in
-    path order: element j equals ``path_sum_amplitude(pd, j)`` bit for bit.
-    The cap holds per amplitude, on the d**(L-1) paths into one output.
+    Each weight block, reshaped to ``(n, w)`` with ``w`` the number of
+    values the last index takes, holds the output index on its last axis, so
+    ``_accumulate`` under a carry row adds each output's paths in path order,
+    left to right, one block at a time. A FREE pass's column j therefore
+    equals the pinned ``path_sum_amplitude(pd, j)`` bit for bit. The cap
+    holds per amplitude, on the d**(L-1) paths into one output.
     """
     _check_cap(_pinned(pd, output=0), DEFAULT_PATH_CAP)
-    total_re = total_im = np.zeros(pd.dim)
+    w = len(_ranges(pd)[-1])
+    total_re = total_im = np.zeros(w)
     for re, im in _weight_blocks(pd):
-        re, im = re.reshape(-1, pd.dim), im.reshape(-1, pd.dim)
+        re, im = re.reshape(-1, w), im.reshape(-1, w)
         total_re, total_im = _accumulate(total_re, re)[-1], _accumulate(total_im, im)[-1]
     return list(map(complex, total_re.tolist(), total_im.tolist()))
 

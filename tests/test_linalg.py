@@ -1,9 +1,11 @@
 """Core linear algebra: products, adjoints, traces, tensor products, unitarity."""
 
+import inspect
+
 import numpy as np
 import pytest
 
-from qpath import linalg, measure, pathsum, tensornet
+from qpath import cli, dsl, formatting, linalg, measure, pathsum, tensornet
 from qpath.measure import HADAMARD, MIRROR
 
 
@@ -46,6 +48,29 @@ def _mixed_branch_verdict():
 def test_tolerances_are_read_when_called(monkeypatch, name, value, result, expected):
     monkeypatch.setattr(linalg, name, value)
     assert result() == expected
+
+
+def _functions(module):
+    """The module's own functions and the methods of its own classes."""
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isclass(obj):
+            yield from filter(inspect.isfunction, (getattr(m, "__func__", m) for m in vars(obj).values()))
+        elif inspect.isfunction(obj):
+            yield obj
+
+
+def test_no_cap_or_tolerance_is_bound_at_import():
+    # A default copies the module constant once; the code must read it when called instead.
+    bound = [
+        f"{f.__module__}.{f.__qualname__}({p.name}={p.default!r})"
+        for module in (cli, dsl, formatting, linalg, measure, pathsum, tensornet)
+        for f in _functions(module)
+        for p in inspect.signature(f).parameters.values()
+        if p.name in ("cap", "tol") and p.default is not p.empty
+    ]
+    assert bound == []
 
 
 class TestMatmul:

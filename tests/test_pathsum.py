@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpath import linalg, pathsum
+from qpath import cli, dsl, linalg, pathsum
 from qpath.measure import HADAMARD, MIRROR
 from qpath.pathsum import (
     FREE,
@@ -86,15 +86,17 @@ class TestEnumeration:
                 assert len(enumerate_paths(PathDiagram(d, layers, 0, 0))) == d ** (L - 1)
                 assert len(enumerate_paths(PathDiagram(d, layers, 0))) == d**L
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
         layers = tuple(np.eye(2) for _ in range(21))
         pd = PathDiagram(2, layers, 0)
         with pytest.raises(PathCapExceeded):
             enumerate_paths(pd)  # 2^21 paths exceed the default cap
         small = PathDiagram(2, layers[:5], 0)
+        monkeypatch.setattr(pathsum, "DEFAULT_PATH_CAP", 31)
         with pytest.raises(PathCapExceeded):
-            enumerate_paths(small, cap=31)
-        assert len(enumerate_paths(small, cap=32)) == 32
+            enumerate_paths(small)
+        monkeypatch.setattr(pathsum, "DEFAULT_PATH_CAP", 32)
+        assert len(enumerate_paths(small)) == 32
 
 
 class TestPathSum:
@@ -160,22 +162,52 @@ class TestPathSum:
         u = composition_matrix(x_after_h)
         assert linalg.max_abs_diff(u, linalg.matmul(MIRROR, HADAMARD)) == 0.0
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
         pd = PathDiagram(3, tuple(np.eye(3) for _ in range(5)), 0)
+        monkeypatch.setattr(pathsum, "DEFAULT_PATH_CAP", 80)
         with pytest.raises(PathCapExceeded, match=r"^diagram has 81 paths, exceeding the cap of 80$"):
-            path_sum_amplitude(pd, 1, cap=80)  # 3**4 paths into each output
-        assert path_sum_amplitude(pd, 0, cap=81) == 1
+            path_sum_amplitude(pd, 1)  # 3**4 paths into each output
+        monkeypatch.setattr(pathsum, "DEFAULT_PATH_CAP", 81)
+        assert path_sum_amplitude(pd, 0) == 1
 
-    def test_streams_in_bounded_memory(self):
+    def test_streams_in_bounded_memory(self, monkeypatch):
         pd = PathDiagram(2, (HADAMARD,) * 21, 0)
+        monkeypatch.setattr(pathsum, "DEFAULT_PATH_CAP", 2**20)
         tracemalloc.start()
         try:
-            amplitude = path_sum_amplitude(pd, 1, cap=2**20)
+            amplitude = path_sum_amplitude(pd, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert abs(amplitude - composition_matrix(pd)[1, 0]) <= 1e-10
         assert peak < 2**22  # 2**20 paths; one Path object alone takes ~100 bytes
+
+
+SIX_IDENTITIES = PathDiagram(2, (np.eye(2),) * 6, 0)
+
+
+@pytest.mark.parametrize("call, count", [
+    (lambda: enumerate_paths(SIX_IDENTITIES), 64),
+    (lambda: path_sum_amplitude(SIX_IDENTITIES, 1), 32),
+    (lambda: interference_report(SIX_IDENTITIES, 1), 32),
+], ids=["enumerate_paths", "path_sum_amplitude", "interference_report"])
+def test_library_reads_the_cap_when_called(monkeypatch, call, count):
+    monkeypatch.setattr(pathsum, "DEFAULT_PATH_CAP", 10)
+    with pytest.raises(PathCapExceeded, match=f"^diagram has {count} paths, exceeding the cap of 10$"):
+        call()
+
+
+@pytest.mark.parametrize("command, options, count", [
+    ("paths", {"input": 0, "output": FREE}, 64),
+    ("verify", {}, 32),
+])
+def test_commands_read_the_cap_when_called(monkeypatch, command, options, count):
+    doc = dsl.Document(dim=2, gates={"I": np.eye(2, dtype=complex)}, circuits={"c": ("I",) * 6})
+    monkeypatch.setattr(pathsum, "DEFAULT_PATH_CAP", 10)
+    with pytest.raises(cli.CommandError) as exc:
+        cli.run_command(doc, command, {"circuit": "c", **options})
+    assert exc.value.exit_code == cli.EXIT_CAP
+    assert str(exc.value) == f"diagram has {count} paths, exceeding the cap of 10"
 
 
 def oracle_paths(pd):
