@@ -139,7 +139,7 @@ class Document:
     def circuit_layers(self, name: str) -> list[np.ndarray]:
         """Resolve a circuit's gate tokens to matrices, in time order."""
         if name not in self.circuits:
-            raise KeyError(f"unknown circuit '{name}'")
+            raise ValueError(f"unknown circuit '{name}'")
         return [self.gates[token] for token in self.circuits[name]]
 
     def has_network(self) -> bool:

@@ -17,15 +17,15 @@ paths and product terms covers vanishing terms too, and pruning would break
 the bijection with walks through the laboratory diagram.
 
 Weights are computed in numpy blocks of up to ``_BLOCK`` paths, equal bit
-for bit to a scalar product loop. Sums and the ``qpath paths`` listing
-stream those blocks, hold one at a time and add the weights in path order.
-One summation, ``_column_sums``, adds the paths into every output the
-diagram allows in one pass, each output's column in path order: ``qpath
-verify`` calls it once per input with the output FREE, and
-``path_sum_amplitude`` is its one-column case, with the output pinned. The
-listing formats each block with its running sums as it comes.
-``enumerate_paths`` and ``interference_report`` materialize one ``Path``
-object per path. All of them stop at the same path cap.
+for bit to a scalar product loop. One loop, ``_running_sums``, streams the
+blocks one at a time, checks the path cap and adds the weights in path
+order, in one running sum or one per output. The ``qpath paths`` listing
+formats each block with its running sums, ``enumerate_paths`` makes one
+``Path`` per path, and ``_column_sums`` keeps each output's last sum:
+``qpath verify`` calls it once per input with the output FREE, and
+``path_sum_amplitude``, its pinned one-column case, gives
+``interference_report`` its total. No sum uses builtin ``sum``, whose float
+addition differs between interpreters.
 """
 
 from __future__ import annotations
@@ -59,11 +59,11 @@ __all__ = [
 #: Sentinel for an unpinned output: enumerate over all final indices.
 FREE = None
 
-#: Fail loudly past this many paths. ``enumerate_paths`` materializes a
-#: ``Path`` per path, so the cap bounds its memory; sums stream in blocks of
-#: bounded memory and the ``paths`` listing formats them block by block, so
-#: for them the cap bounds running time (and the listing's output text).
-#: Every check reads it when called, so setting it changes the cap everywhere.
+#: Fail loudly past this many terms in one sum (every path, or the paths into
+#: one output for a column sum). ``enumerate_paths`` materializes a ``Path``
+#: per path, so the cap bounds its memory; sums and the ``paths`` listing
+#: stream blocks of bounded memory, so for them it bounds running time.
+#: ``_running_sums`` reads it when called, so setting it changes every cap.
 DEFAULT_PATH_CAP = 10**6
 
 #: Paths per weight block computed by one round of array operations.
@@ -92,6 +92,8 @@ class PathDiagram:
 
     def __post_init__(self):
         d = linalg._dim(self.dim)
+        if not self.layers:
+            raise ValueError("an empty composition has no diagram")
         frozen = []
         for t, layer in enumerate(self.layers):
             m = linalg.as_matrix(layer)
@@ -135,17 +137,6 @@ def _ranges(pd: PathDiagram) -> list[range]:
     if pd.output is not FREE:
         ranges[-1] = range(pd.output, pd.output + 1)
     return ranges
-
-
-def _check_cap(pd: PathDiagram, cap: float) -> None:
-    """Require at least one layer and at most ``cap`` paths."""
-    if pd.n_layers == 0:
-        raise ValueError("an empty composition has no diagram")
-    count = math.prod(map(len, _ranges(pd)))
-    if count > cap:
-        raise PathCapExceeded(
-            f"diagram has {count} paths, exceeding the cap of {cap}"
-        )
 
 
 def _weight_blocks(pd: PathDiagram):
@@ -205,17 +196,23 @@ def _accumulate(carry: float | np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.add.accumulate(np.concatenate(([carry], weights)))[1:]
 
 
-def _running_sums(pd: PathDiagram):
-    """Yield ``(re, im, run_re, run_im)``: each weight block and its running sums.
+def _running_sums(pd: PathDiagram, w: int):
+    """Yield ``(re, im, run_re, run_im)``: each weight block and its running sums in ``w`` columns.
 
-    ``run_re[n], run_im[n]`` is the sum of every weight up to and including
-    the block's n-th path, real and imaginary parts each carried from block
-    to block by ``_accumulate``, as Python's ``running += w`` adds them.
+    Column c holds the paths at positions c, c + w, c + 2w, ...: every path
+    if ``w = 1``, the paths into output c if ``w`` counts the last index's
+    values. ``run_re[n], run_im[n]`` sums the column of the block's n-th path
+    up to that path, each part carried from block to block by ``_accumulate``
+    on ``(n, w)`` reshapes, as Python's ``running += weight`` adds them. All
+    four arrays are flat, in path order. The cap bounds each column's paths.
     """
-    _check_cap(pd, DEFAULT_PATH_CAP)
-    run_re = run_im = (0.0,)
+    count = math.prod(map(len, _ranges(pd))) // w
+    if count > DEFAULT_PATH_CAP:
+        raise PathCapExceeded(f"diagram has {count} paths, exceeding the cap of {DEFAULT_PATH_CAP}")
+    run_re = run_im = np.zeros(w)
     for re, im in _weight_blocks(pd):
-        run_re, run_im = _accumulate(run_re[-1], re), _accumulate(run_im[-1], im)
+        run_re = _accumulate(run_re[-w:], re.reshape(-1, w)).reshape(-1)
+        run_im = _accumulate(run_im[-w:], im.reshape(-1, w)).reshape(-1)
         yield re, im, run_re, run_im
 
 
@@ -226,10 +223,9 @@ def enumerate_paths(pd: PathDiagram) -> list[Path]:
     indices run free, the last index is forced to j); with a FREE output
     there are d**L. Zero-weight paths are included.
     """
-    _check_cap(pd, DEFAULT_PATH_CAP)
     weights = (
         complex(a, b)
-        for re, im in _weight_blocks(pd)
+        for re, im, _, _ in _running_sums(pd, 1)
         for a, b in zip(re.tolist(), im.tolist())
     )
     return [Path(k, w) for k, w in zip(product(*_ranges(pd)), weights)]
@@ -248,25 +244,20 @@ def path_sum_amplitude(pd: PathDiagram, output_index: int) -> complex:
 def _column_sums(pd: PathDiagram) -> list[complex]:
     """The path sums into each output ``pd`` allows, in one pass: every output if FREE, else one.
 
-    Each weight block, reshaped to ``(n, w)`` with ``w`` the number of
-    values the last index takes, holds the output index on its last axis, so
-    ``_accumulate`` under a carry row adds each output's paths in path order,
-    left to right, one block at a time. A FREE pass's column j therefore
-    equals the pinned ``path_sum_amplitude(pd, j)`` bit for bit. The cap
-    holds per amplitude, on the d**(L-1) paths into one output.
+    ``_running_sums`` runs with one column per output and this keeps each
+    column's last running sum, so each output's paths add in path order,
+    left to right. A FREE pass's column j therefore equals the pinned
+    ``path_sum_amplitude(pd, j)`` bit for bit. The cap holds per amplitude,
+    on the paths into one output.
     """
-    _check_cap(_pinned(pd, output=0), DEFAULT_PATH_CAP)
     w = len(_ranges(pd)[-1])
-    total_re = total_im = np.zeros(w)
-    for re, im in _weight_blocks(pd):
-        re, im = re.reshape(-1, w), im.reshape(-1, w)
-        total_re, total_im = _accumulate(total_re, re)[-1], _accumulate(total_im, im)[-1]
-    return list(map(complex, total_re.tolist(), total_im.tolist()))
+    for _, _, run_re, run_im in _running_sums(pd, w):
+        pass
+    return list(map(complex, run_re[-w:].tolist(), run_im[-w:].tolist()))
 
 
 def composition_matrix(pd: PathDiagram) -> np.ndarray:
     """The matrix route: the product of the layers in application order."""
-    _check_cap(pd, math.inf)
     u = pd.layers[0]
     for layer in pd.layers[1:]:
         u = layer @ u
@@ -290,14 +281,15 @@ def interference_report(pd: PathDiagram, output_index: int) -> InterferenceRepor
 
     Destructive: the weights cancel (|sum| <= tol although the magnitudes
     add to more). Constructive: |sum| matches the sum of magnitudes within
-    tol. Anything in between is mixed.
+    tol. Anything in between is mixed. ``total`` is ``path_sum_amplitude``'s,
+    and ``weight_sum`` adds the magnitudes in path order too.
     """
     tol = linalg.AGREE_TOL
     pinned = _pinned(pd, output=output_index)
     paths = tuple(enumerate_paths(pinned))
-    total = complex(sum(p.weight for p in paths))
+    total = path_sum_amplitude(pinned, pinned.output)
     magnitude = abs(total)
-    weight_sum = float(sum(abs(p.weight) for p in paths))
+    weight_sum = float(_accumulate(0.0, [abs(p.weight) for p in paths])[-1])
     if magnitude <= tol and weight_sum > tol:
         verdict = "destructive"
     elif abs(magnitude - weight_sum) <= tol:
@@ -373,7 +365,6 @@ def emit_lab_diagram(pd: PathDiagram) -> LabDiagram:
     weighted line per layer; its weight product is the corresponding path
     weight, so the walk set is exactly the FREE-output path set.
     """
-    _check_cap(pd, math.inf)
     d, L = pd.dim, pd.n_layers
 
     nodes = ["prep"]

@@ -51,6 +51,11 @@ class TestGrammar:
         assert doc.circuits["mz"] == ("H", "X", "H")
         assert doc.gates["H"][0, 0] == 0.7071067811865476
 
+    def test_unknown_circuit_is_a_value_error(self):
+        doc = dsl.parse(MZ_SOURCE).document
+        with pytest.raises(ValueError, match=r"^unknown circuit 'x'$"):
+            doc.circuit_layers("x")
+
     def test_empty_input(self):
         result = dsl.parse("")
         assert result.ok

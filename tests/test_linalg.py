@@ -1,6 +1,7 @@
 """Core linear algebra: products, adjoints, traces, tensor products, unitarity."""
 
 import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,12 +40,18 @@ def _mixed_branch_verdict():
     return pathsum.interference_report(pathsum.PathDiagram(2, layers, 0), 0).verdict
 
 
+def _verify_mz_exit_code():
+    doc = dsl.parse_bytes((Path(__file__).parent / "golden" / "mz.qpd").read_bytes()).document
+    return cli.run_command(doc, "verify", {"circuit": "mz"})[1]
+
+
 @pytest.mark.parametrize("name, value, result, expected", [
     ("AGREE_TOL", 10, _mixed_branch_verdict, "constructive"),
     ("AGREE_TOL", -1,
      lambda: measure.teleport_check(np.eye(2), linalg.basis_ket(2, 0)).agree, False),
+    ("AGREE_TOL", -1, _verify_mz_exit_code, cli.EXIT_VERIFY),
     ("NORM_TOL", 10, lambda: linalg.is_normalized([2, 0]), True),
-], ids=["interference_report", "teleport_check", "is_normalized"])
+], ids=["interference_report", "teleport_check", "verify", "is_normalized"])
 def test_tolerances_are_read_when_called(monkeypatch, name, value, result, expected):
     monkeypatch.setattr(linalg, name, value)
     assert result() == expected

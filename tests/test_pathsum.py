@@ -40,11 +40,8 @@ class TestDiagram:
             PathDiagram(2, (np.eye(2),), 0, 5)
 
     def test_empty_composition_has_no_diagram(self):
-        pd = PathDiagram(2, (), 0)
         with pytest.raises(ValueError, match="empty composition"):
-            enumerate_paths(pd)
-        with pytest.raises(ValueError, match="empty composition"):
-            emit_lab_diagram(pd)
+            PathDiagram(2, (), 0)
 
 
 class TestEnumeration:
@@ -208,6 +205,20 @@ def test_commands_read_the_cap_when_called(monkeypatch, command, options, count)
         cli.run_command(doc, command, {"circuit": "c", **options})
     assert exc.value.exit_code == cli.EXIT_CAP
     assert str(exc.value) == f"diagram has {count} paths, exceeding the cap of 10"
+
+
+def test_every_sum_runs_in_one_loop():
+    # Every route that adds path weights streams its blocks through _running_sums.
+    doc = dsl.Document(dim=2, gates={"H": HADAMARD}, circuits={"c": ("H",) * 4})
+    pd = mach_zehnder(1)
+    with mock.patch.object(pathsum, "_weight_blocks", wraps=pathsum._weight_blocks) as blocks, \
+            mock.patch.object(pathsum, "_running_sums", wraps=pathsum._running_sums) as sums:
+        enumerate_paths(pd)
+        path_sum_amplitude(pd, 0)
+        pathsum._column_sums(pd)
+        interference_report(pd, 1)
+        cli.run_command(doc, "paths", {"circuit": "c", "input": 0, "output": FREE})
+    assert blocks.call_count == sums.call_count == 6
 
 
 def oracle_paths(pd):
@@ -404,6 +415,15 @@ class TestInterference:
         layer2 = np.array([[w, 1], [0, 0]], dtype=complex)
         report = interference_report(PathDiagram(2, (layer1, layer2), 0), 0)
         assert report.verdict == "mixed"
+
+    def test_sums_add_in_path_order(self):
+        # Weights 1e16, 1, 1: each 1 rounds away in order; a compensated sum would give 1e16 + 2.
+        first = np.zeros((3, 3))
+        first[:, 0] = [1e16, 1, 1]
+        report = interference_report(PathDiagram(3, (first, np.ones((3, 3))), 0), 0)
+        assert [p.weight for p in report.paths] == [1e16, 1, 1]
+        assert report.weight_sum == 1e16
+        assert report.total == 1e16
 
 
 class TestLabDiagram:

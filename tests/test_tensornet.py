@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -108,6 +109,11 @@ class TestTensor:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(NetworkError):
             Tensor([("a", 2), ("b", 2)], np.zeros(5, dtype=complex))
+
+    @pytest.mark.parametrize("entry", [math.inf, math.nan, complex(0, math.inf)], ids=["inf", "nan", "infj"])
+    def test_non_finite_entries_rejected(self, entry):
+        with pytest.raises(NetworkError, match=r"^tensor entries must be finite$"):
+            Tensor([("a", 2)], [1, entry])
 
     def test_duplicate_leg_names_rejected(self):
         with pytest.raises(NetworkError):
