@@ -12,9 +12,20 @@ Each index runs over every basis value, except that the last one is fixed
 when the output is pinned. ``_ranges`` states these index ranges once, for
 the path count, the weight blocks, the path list and the ``paths`` keys.
 
-Zero-weight paths are enumerated, never pruned: the correspondence between
-paths and product terms covers vanishing terms too, and pruning would break
-the bijection with walks through the laboratory diagram.
+Listings enumerate zero-weight paths and never prune them: the
+correspondence between paths and product terms covers vanishing terms too,
+and pruning would break the bijection with walks through the laboratory
+diagram. Sums skip the zeros that a layer's shape makes certain. In a layer
+with one nonzero entry in every column (a permutation, shift, diagonal or
+phase, say), a path at index p goes on with a nonzero weight only to that
+entry's row, so such a layer adds no index that varies; the last layer always
+varies, so that each output keeps its own sum. Skipping is exact whenever the
+sums it gives are finite. An overflowed prefix stays inf or nan through every
+later product and addition, so finite sums mean finite kept prefixes. A
+skipped path multiplies a finite prefix by an exact zero, so its weight is
++0.0 or -0.0, and adding a signed zero leaves a running sum that starts at
++0.0 unchanged. Where a sum is not finite, ``_column_sums`` sums over every
+path again, so overflow is reported exactly as the full sum gives it.
 
 Weights are computed in numpy blocks of up to ``_BLOCK`` paths, equal bit
 for bit to a scalar product loop. One loop, ``_running_sums``, streams the
@@ -106,6 +117,7 @@ class PathDiagram:
             frozen.append(m)
         object.__setattr__(self, "dim", d)
         object.__setattr__(self, "layers", tuple(frozen))
+        object.__setattr__(self, "_unbranched", _unbranched(frozen))
         object.__setattr__(self, "input", linalg._index("input", self.input, d))
         if self.output is not FREE:
             object.__setattr__(self, "output", linalg._index("output", self.output, d))
@@ -121,6 +133,23 @@ class Path:
 
     indices: tuple[int, ...]
     weight: complex
+
+
+def _unbranched(layers: tuple[np.ndarray, ...]) -> tuple:
+    """Per layer: None if it branches, else where each of its columns goes.
+
+    A layer with exactly one nonzero entry in every column p sends a path at
+    p on to that entry's row alone; for it the item is ``(rows, re, im)``,
+    with ``rows[p]`` that row and ``re[p], im[p]`` the entry's parts. The last
+    layer is always None: its index is the output, one column per value.
+    """
+    stack = np.array(layers)
+    nonzero = stack != 0
+    single = (nonzero.sum(axis=1) == 1).all(axis=1)
+    single[-1] = False
+    rows = nonzero.argmax(axis=1)
+    entries = stack[np.arange(len(stack))[:, None], rows, np.arange(stack.shape[2])]
+    return tuple((r, e.real, e.imag) if one else None for one, r, e in zip(single.tolist(), rows, entries))
 
 
 def _pinned(pd: PathDiagram, **ends: int) -> PathDiagram:
@@ -139,21 +168,27 @@ def _ranges(pd: PathDiagram) -> list[range]:
     return ranges
 
 
-def _weight_blocks(pd: PathDiagram):
+def _weight_blocks(pd: PathDiagram, unbranched: tuple | None = None):
     """Yield the weights of ``pd``'s paths as float64 ``(re, im)`` arrays.
 
     Paths come in lexicographic order over the index ranges of ``_ranges``,
     as ``enumerate_paths`` lists them, in fresh arrays that the caller owns.
-    The first ``h`` indices (the head) run in Python with scalar products.
-    The rest vary within a block, whose shape is the lengths of their
-    ranges: ``h`` is the smallest count for which a block holds at most
-    ``_BLOCK`` paths, except that the last index always varies within it.
+    With ``unbranched``, the per-layer table of ``_unbranched``, a layer
+    that does not branch keeps, for each path, only the one index its
+    nonzero entry allows; the paths that are left keep their order. By
+    default every layer branches, and every path is yielded.
 
-    A block grows one layer at a time: each step multiplies every partial
-    weight by the entries of the layer in the rows its index range allows,
-    by broadcasting. Partial weights keep the newest index on axis 0, so
-    every step's inner loop runs along the long trailing axis; one
-    transpose per block restores lexicographic order.
+    The first ``h`` layers (the head) run in Python with scalar products.
+    The rest grow a block, whose shape is the number of ways each of them
+    continues a path: ``h`` is the smallest count for which a block holds
+    at most ``_BLOCK`` paths, except that the last layer always grows it.
+    A step that branches multiplies every partial weight by the entries of
+    the layer in the rows its index range allows, by broadcasting, and adds
+    a block axis. A step that does not branch scales each block row by its
+    one entry and relabels the row with that entry's row index. Partial
+    weights keep the newest index on axis 0, so every step's inner loop
+    runs along the long trailing axis; one transpose per block restores
+    lexicographic order.
 
     Each step computes ``re*br - im*bi, re*bi + im*br``, the formula of a
     scalar complex product, so every weight equals the scalar loop's
@@ -161,26 +196,39 @@ def _weight_blocks(pd: PathDiagram):
     multiply can differ from it in the last bit.
     """
     ranges = _ranges(pd)
+    unbranched = unbranched or (None,) * pd.n_layers
+    # nexts[t][p][c]: the index that way c continues a path at p through layer t.
+    nexts = [
+        [ks] * pd.dim if one is None else [(k,) for k in one[0].tolist()]
+        for ks, one in zip(ranges, unbranched)
+    ]
+    ways = [range(len(n[0])) for n in nexts]
     h = pd.n_layers - 1
-    while h > 0 and math.prod(map(len, ranges[h - 1 :])) <= _BLOCK:
+    while h > 0 and math.prod(map(len, ways[h - 1 :])) <= _BLOCK:
         h -= 1
     rows = [slice(ks.start, ks.stop) for ks in ranges[h:]]
-    shape = [len(ks) for ks in reversed(ranges[h:])]
+    shape = [len(cs) for cs in reversed(ways[h:])]
     parts = [(m.real.copy(), m.imag.copy()) for m in pd.layers]
 
-    for head in product(*ranges[:h]):
+    for head in product(*ways[:h]):
         re, im, prev = 1.0, 0.0, pd.input
-        for (mr, mi), k in zip(parts, head):
+        for (mr, mi), succ, c in zip(parts, nexts, head):
+            k = succ[prev][c]
             br, bi = mr[k, prev], mi[k, prev]
             re, im = re * br - im * bi, re * bi + im * br
             prev = k
         re, im = np.array([[re]]), np.array([[im]])
         prevs = slice(prev, prev + 1)
-        for (mr, mi), ks in zip(parts[h:], rows):
-            br, bi = mr[ks, prevs, None], mi[ks, prevs, None]
+        for (mr, mi), ks, one in zip(parts[h:], rows, unbranched[h:]):
+            if one is None:
+                br, bi = mr[ks, prevs, None], mi[ks, prevs, None]
+                prevs = slice(None)
+            else:
+                to, er, ei = one
+                br, bi = er[prevs, None], ei[prevs, None]
+                prevs = to[prevs]
             re, im = re * br - im * bi, re * bi + im * br
             re, im = re.reshape(len(re), -1), im.reshape(len(im), -1)
-            prevs = slice(None)
         yield re.reshape(shape).transpose().reshape(-1), im.reshape(shape).transpose().reshape(-1)
 
 
@@ -196,7 +244,7 @@ def _accumulate(carry: float | np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.add.accumulate(np.concatenate(([carry], weights)))[1:]
 
 
-def _running_sums(pd: PathDiagram, w: int):
+def _running_sums(pd: PathDiagram, w: int, unbranched: tuple | None = None):
     """Yield ``(re, im, run_re, run_im)``: each weight block and its running sums in ``w`` columns.
 
     Column c holds the paths at positions c, c + w, c + 2w, ...: every path
@@ -204,13 +252,15 @@ def _running_sums(pd: PathDiagram, w: int):
     values. ``run_re[n], run_im[n]`` sums the column of the block's n-th path
     up to that path, each part carried from block to block by ``_accumulate``
     on ``(n, w)`` reshapes, as Python's ``running += weight`` adds them. All
-    four arrays are flat, in path order. The cap bounds each column's paths.
+    four arrays are flat, in path order. ``unbranched`` goes to
+    ``_weight_blocks``. The cap bounds each column's paths, all of them
+    counted, whether skipped or not.
     """
     count = math.prod(map(len, _ranges(pd))) // w
     if count > DEFAULT_PATH_CAP:
         raise PathCapExceeded(f"diagram has {count} paths, exceeding the cap of {DEFAULT_PATH_CAP}")
     run_re = run_im = np.zeros(w)
-    for re, im in _weight_blocks(pd):
+    for re, im in _weight_blocks(pd, unbranched):
         run_re = _accumulate(run_re[-w:], re.reshape(-1, w)).reshape(-1)
         run_im = _accumulate(run_im[-w:], im.reshape(-1, w)).reshape(-1)
         yield re, im, run_re, run_im
@@ -236,7 +286,9 @@ def path_sum_amplitude(pd: PathDiagram, output_index: int) -> complex:
 
     Equals the matrix-product amplitude <j|UL...U1|i> up to float
     reassociation; the test suite holds the two routes together at 1e-10.
-    It is the one-column case of ``_column_sums``.
+    It is the one-column case of ``_column_sums``, so it skips the paths
+    through the zeros of layers that do not branch and equals the sum over
+    every path bit for bit.
     """
     return _column_sums(_pinned(pd, output=output_index))[0]
 
@@ -247,12 +299,18 @@ def _column_sums(pd: PathDiagram) -> list[complex]:
     ``_running_sums`` runs with one column per output and this keeps each
     column's last running sum, so each output's paths add in path order,
     left to right. A FREE pass's column j therefore equals the pinned
-    ``path_sum_amplitude(pd, j)`` bit for bit. The cap holds per amplitude,
-    on the paths into one output.
+    ``path_sum_amplitude(pd, j)`` bit for bit. The pass skips the paths
+    through the zero entries of the layers that do not branch; if any sum
+    it gives is not finite, a second pass sums over every path, so each sum
+    equals the sum over every path bit for bit (see the module docstring).
+    The cap holds per amplitude, on all the paths into one output.
     """
     w = len(_ranges(pd)[-1])
-    for _, _, run_re, run_im in _running_sums(pd, w):
-        pass
+    for unbranched in (pd._unbranched, None):
+        for _, _, run_re, run_im in _running_sums(pd, w, unbranched):
+            pass
+        if np.isfinite(run_re[-w:]).all() and np.isfinite(run_im[-w:]).all():
+            break
     return list(map(complex, run_re[-w:].tolist(), run_im[-w:].tolist()))
 
 

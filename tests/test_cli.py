@@ -173,6 +173,12 @@ BAD_INPUTS = [
      cli.EXIT_SEMANTIC,
      "amplitude (output 0, input 0) overflows double precision: "
      "path sum inf nan, matrix product nan nan"),
+    # The pass that skips the paths through M's zeros gives inf nan; the rerun over every path gives nan nan.
+    ("verify overflow, summed again over every path",
+     "dim 2\ngate G = [[1e300, 1e300], [1e300, 1e300]]\ngate M = [[1+1i, 0], [0, 1+1i]]\n"
+     "gate B = [[1-1i, 1-1i], [1-1i, 1-1i]]\ncircuit c = G G M B\n", "verify", {"circuit": "c"},
+     cli.EXIT_SEMANTIC,
+     "amplitude (output 0, input 0) overflows double precision: path sum nan nan, matrix product nan nan"),
     ("sample overflow, three layers", OVERFLOW3, "sample",
      {"circuit": "c", "input": 0, "shots": 3, "seed": 1},
      cli.EXIT_SEMANTIC, "amplitude (output 0, input 0) overflows double precision: matrix product nan nan"),

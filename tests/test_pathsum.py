@@ -328,16 +328,24 @@ def test_engine_matches_scalar_loop_property(data):
 
 @st.composite
 def column_layer(draw, d):
-    """A signed permutation (exact and signed zeros) or a dense layer, scaled to overflow or not."""
+    """A signed, phased or sparse layer (exact and signed zeros) or a dense one, scaled to overflow or not."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
-    if draw(st.booleans(), label="permutation"):
+    kind = draw(st.sampled_from(["permutation", "phased", "sparse", "dense"]), label="kind")
+    if kind == "permutation":
         layer = np.empty((d, d), dtype=complex)
         layer.real = np.eye(d)[rng.permutation(d)] * rng.choice([-1.0, 1.0], size=(d, d))
         layer.imag = rng.choice([-0.0, 0.0], size=(d, d))
         return layer
+    dense = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    if kind == "phased":
+        # A generalized permutation; multiplying its zeros by the phases signs them.
+        scale = draw(st.sampled_from([1, 1e160, 1e-160]), label="scale")
+        return np.eye(d)[rng.permutation(d)] * np.exp(2j * np.pi * rng.random(d)) * scale
+    if kind == "sparse":
+        # Zeros in random places: some columns keep one nonzero entry, some none, some several.
+        return dense * (rng.random((d, d)) < 0.5)
     # Unscaled twice as often as either overflowing scale, so that rounding shows in most sums.
-    scale = draw(st.sampled_from([1, 1, 1e160, 1e160j]), label="scale")
-    return (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) * scale
+    return dense * draw(st.sampled_from([1, 1, 1e160, 1e160j]), label="scale")
 
 
 def dense_layers(d, L):
@@ -371,13 +379,38 @@ class TestColumnSums:
     @settings(max_examples=80)
     @given(data=st.data())
     def test_columns_equal_pinned_sums_property(self, data):
+        # Sums skip the paths through zeros; FREE and pinned, each equals the scalar sum over every path.
         d = data.draw(st.integers(1, 4), label="d")
         L = data.draw(st.integers(1, 6), label="L")
         layers = tuple(data.draw(column_layer(d), label=f"layer {t}") for t in range(L))
         pd = PathDiagram(d, layers, data.draw(st.integers(0, d - 1), label="input"))
         block = data.draw(st.sampled_from([1, 4, pathsum._BLOCK]), label="block")
         with mock.patch.object(pathsum, "_BLOCK", block), np.errstate(over="ignore", invalid="ignore"):
-            assert_columns_equal_pinned_sums(pd)
+            expected = exact(oracle_sum(pd, j) for j in range(d))
+            assert exact(pathsum._column_sums(pd)) == expected
+            assert exact(pathsum._column_sums(pathsum._pinned(pd, output=j))[0] for j in range(d)) == expected
+
+    def test_sums_skip_the_paths_through_zeros(self, monkeypatch):
+        # X and diag(1, i) have one nonzero entry per column: 3 of the 5 layers branch.
+        pd = PathDiagram(2, (HADAMARD, MIRROR, HADAMARD, np.diag([1, 1j]), HADAMARD), 0)
+        engine, weights = pathsum._weight_blocks, []
+
+        def counting(*args):
+            for re, im in engine(*args):
+                weights.append(len(re))
+                yield re, im
+
+        monkeypatch.setattr(pathsum, "_weight_blocks", counting)
+        for i in range(2):
+            weights.clear()
+            pinned = pathsum._pinned(pd, input=i)
+            assert exact(pathsum._column_sums(pinned)) == exact(oracle_sum(pinned, j) for j in range(2))
+            assert sum(weights) == 2**3
+        weights.clear()
+        paths = enumerate_paths(pd)
+        assert sum(weights) == len(paths) == 2**5
+        assert sum(p.weight == 0 for p in paths) == 2**5 - 2**3
+        assert_engine_matches_oracle(pd)
 
     def test_cap_counts_the_paths_into_one_output(self, monkeypatch):
         pd = PathDiagram(2, (HADAMARD,) * 3, 0)
