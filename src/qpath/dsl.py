@@ -85,9 +85,7 @@ def parse_complex_literal(token: str) -> complex | None:
 
 
 def _fmt_real(x: float) -> str:
-    if x == 0.0:
-        x = 0.0
-    return repr(float(x))
+    return repr(float(x) + 0.0)
 
 
 def format_complex(z: complex) -> str:

@@ -5,10 +5,7 @@ from __future__ import annotations
 
 def sci12(x: float) -> str:
     """Format a real number in scientific notation with 12 significant digits."""
-    x = float(x)
-    if x == 0.0:
-        x = 0.0  # fold -0.0 so output text is byte-stable
-    return f"{x:.11e}"
+    return f"{float(x) + 0.0:.11e}"  # adding 0.0 folds -0.0, so output text is byte-stable
 
 
 def pair12(z: complex) -> str:
@@ -31,7 +28,6 @@ def _entry_key(index: tuple[int, ...]) -> str:
 def complex6(z: complex) -> str:
     """Compact ``a+bi`` form with 6 significant digits, used for edge labels."""
     z = complex(z)
-    re = 0.0 if z.real == 0.0 else z.real
-    im = 0.0 if z.imag == 0.0 else z.imag
+    re, im = z.real + 0.0, z.imag + 0.0
     sign = "-" if im < 0 else "+"
     return f"{re:.5e}{sign}{abs(im):.5e}i"

@@ -19,6 +19,8 @@ only ``is_unitary`` and ``equal_within`` take a tolerance, as an argument.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 #: Tolerance on a squared norm, a unitarity deviation or a probability sum.
@@ -96,16 +98,25 @@ def _check_acts_on(m: np.ndarray, v: np.ndarray) -> None:
         )
 
 
+def _integer(kind: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{kind} must be an integer, got {value}") from None
+
+
 def _dim(d) -> int:
-    if int(d) < 1:
+    d = _integer("dimension", d)
+    if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
-    return int(d)
+    return d
 
 
-def _index(kind: str, index, d) -> int:
-    if not 0 <= int(index) < int(d):
+def _index(kind: str, index, d: int) -> int:
+    i = _integer(f"{kind} index", index)
+    if not 0 <= i < d:
         raise ValueError(f"{kind} index {index} out of range for dimension {d}")
-    return int(index)
+    return i
 
 
 def matmul(a, b) -> np.ndarray:
@@ -155,9 +166,8 @@ def identity(d: int) -> np.ndarray:
 
 def basis_ket(d: int, i: int) -> np.ndarray:
     """Computational basis ket with a 1 at position ``i``."""
-    i = _index("basis", i, d)
-    v = np.zeros(int(d), dtype=complex)
-    v[i] = 1.0
+    v = np.zeros(_dim(d), dtype=complex)
+    v[_index("basis", i, len(v))] = 1.0
     return v
 
 

@@ -167,7 +167,9 @@ def hadamard_test(u, psi, part: str, shots: int, seed: int) -> HadamardTestResul
     u, and passes through a final Hadamard; the probability of reading 0 on
     the ancilla is then 1/2 + 1/2 Re<psi|u|psi> (or Im for the imaginary
     branch). That identity is recomputed here on every call rather than
-    trusted. The estimate is 2 * sampled_p0 - 1.
+    trusted, in the form (|psi|^2 + |u psi|^2)/4 + Re<psi|u|psi>/2, which
+    stays exact for the near-unitary u and near-unit psi that ``NORM_TOL``
+    lets through. The estimate is 2 * sampled_p0 - 1.
     """
     if part not in ("real", "imag"):
         raise ValueError(f"part must be 'real' or 'imag', got {part!r}")
@@ -183,9 +185,10 @@ def hadamard_test(u, psi, part: str, shots: int, seed: int) -> HadamardTestResul
     final = circuit @ initial
     exact_p0 = float(np.sum(np.abs(final[:d]) ** 2))
 
-    expectation = complex(np.vdot(psi, u @ psi))
+    u_psi = u @ psi
+    expectation = complex(np.vdot(psi, u_psi))
     target = expectation.real if part == "real" else expectation.imag
-    formula_p0 = 0.5 + 0.5 * target
+    formula_p0 = 0.25 * float(np.vdot(psi, psi).real + np.vdot(u_psi, u_psi).real) + 0.5 * target
     if abs(exact_p0 - formula_p0) > linalg.AGREE_TOL:
         raise ArithmeticError(
             f"circuit probability {exact_p0!r} disagrees with the closed form "

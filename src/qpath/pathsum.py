@@ -178,17 +178,19 @@ def _weight_blocks(pd: PathDiagram, unbranched: tuple | None = None):
     nonzero entry allows; the paths that are left keep their order. By
     default every layer branches, and every path is yielded.
 
-    The first ``h`` layers (the head) run in Python with scalar products.
-    The rest grow a block, whose shape is the number of ways each of them
-    continues a path: ``h`` is the smallest count for which a block holds
-    at most ``_BLOCK`` paths, except that the last layer always grows it.
-    A step that branches multiplies every partial weight by the entries of
-    the layer in the rows its index range allows, by broadcasting, and adds
-    a block axis. A step that does not branch scales each block row by its
-    one entry and relabels the row with that entry's row index. Partial
-    weights keep the newest index on axis 0, so every step's inner loop
-    runs along the long trailing axis; one transpose per block restores
-    lexicographic order.
+    A block fixes the index of each of the first ``h`` layers (the head),
+    and the rest grow it: its shape is the number of ways each of them
+    continues a path, and ``h`` is the smallest count for which a block
+    holds at most ``_BLOCK`` paths, except that the last layer always grows
+    it. One loop takes every layer's step on a block that starts as 1x1 at
+    the input's row. A step that branches multiplies every partial weight
+    by the layer's entries in the rows of its slice (one row in the head,
+    the index range after it), by broadcasting, adds a block axis and
+    labels the rows with its slice. A step that does not branch scales each
+    row by its one entry and relabels it with that entry's row index.
+    Partial weights keep the newest index on axis 0, so every step's inner
+    loop runs along the long trailing axis; one transpose per block
+    restores lexicographic order.
 
     Each step computes ``re*br - im*bi, re*bi + im*br``, the formula of a
     scalar complex product, so every weight equals the scalar loop's
@@ -197,34 +199,24 @@ def _weight_blocks(pd: PathDiagram, unbranched: tuple | None = None):
     """
     ranges = _ranges(pd)
     unbranched = unbranched or (None,) * pd.n_layers
-    # nexts[t][p][c]: the index that way c continues a path at p through layer t.
-    nexts = [
-        [ks] * pd.dim if one is None else [(k,) for k in one[0].tolist()]
-        for ks, one in zip(ranges, unbranched)
-    ]
-    ways = [range(len(n[0])) for n in nexts]
+    ways = [len(ks) if one is None else 1 for ks, one in zip(ranges, unbranched)]
     h = pd.n_layers - 1
-    while h > 0 and math.prod(map(len, ways[h - 1 :])) <= _BLOCK:
+    while h > 0 and math.prod(ways[h - 1 :]) <= _BLOCK:
         h -= 1
-    rows = [slice(ks.start, ks.stop) for ks in ranges[h:]]
-    shape = [len(cs) for cs in reversed(ways[h:])]
+    shape = ways[h:][::-1]
+    # steps[t]: the steps layer t can take in a block; a head layer that branches has one per index.
+    steps = [[one] if one is not None else [slice(k, k + 1) for k in ks] if t < h else [slice(ks.start, ks.stop)]
+             for t, (ks, one) in enumerate(zip(ranges, unbranched))]
     parts = [(m.real.copy(), m.imag.copy()) for m in pd.layers]
 
-    for head in product(*ways[:h]):
-        re, im, prev = 1.0, 0.0, pd.input
-        for (mr, mi), succ, c in zip(parts, nexts, head):
-            k = succ[prev][c]
-            br, bi = mr[k, prev], mi[k, prev]
-            re, im = re * br - im * bi, re * bi + im * br
-            prev = k
-        re, im = np.array([[re]]), np.array([[im]])
-        prevs = slice(prev, prev + 1)
-        for (mr, mi), ks, one in zip(parts[h:], rows, unbranched[h:]):
-            if one is None:
-                br, bi = mr[ks, prevs, None], mi[ks, prevs, None]
-                prevs = slice(None)
+    for block in product(*steps):
+        re, im, prevs = np.ones((1, 1)), np.zeros((1, 1)), slice(pd.input, pd.input + 1)
+        for (mr, mi), step in zip(parts, block):
+            if isinstance(step, slice):
+                br, bi = mr[step, prevs, None], mi[step, prevs, None]
+                prevs = step
             else:
-                to, er, ei = one
+                to, er, ei = step
                 br, bi = er[prevs, None], ei[prevs, None]
                 prevs = to[prevs]
             re, im = re * br - im * bi, re * bi + im * br

@@ -57,6 +57,25 @@ def test_tolerances_are_read_when_called(monkeypatch, name, value, result, expec
     assert result() == expected
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: linalg.basis_ket(2, 1.9), "basis index must be an integer, got 1.9"),
+    (lambda: linalg.basis_ket(2.0, 1), "dimension must be an integer, got 2.0"),
+    (lambda: linalg.identity(2.7), "dimension must be an integer, got 2.7"),
+    (lambda: pathsum.PathDiagram(2, (HADAMARD,), np.float64(0.0)), "input index must be an integer, got 0.0"),
+    (lambda: pathsum.path_sum_amplitude(pathsum.PathDiagram(2, (HADAMARD,), 0), 1.2),
+     "output index must be an integer, got 1.2"),
+], ids=["basis_ket index", "basis_ket dim", "identity", "PathDiagram input", "path_sum_amplitude output"])
+def test_indices_and_dimensions_are_not_truncated(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+def test_numpy_integers_are_indices_and_dimensions():
+    assert linalg.basis_ket(np.int64(3), np.int32(1)).tolist() == [0, 1, 0]
+    assert linalg.identity(np.uint8(2)).shape == (2, 2)
+    assert pathsum.PathDiagram(np.int64(2), (HADAMARD,), np.int16(1)).input == 1
+
+
 def _functions(module):
     """The module's own functions and the methods of its own classes."""
     for obj in vars(module).values():

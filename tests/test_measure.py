@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qpath import linalg
+from qpath import linalg, measure
 from qpath.measure import (
     HADAMARD,
     MIRROR,
@@ -221,6 +221,19 @@ class TestHadamardTest:
         a = hadamard_test(MIRROR, linalg.basis_ket(2, 0), "real", 5000, seed=3)
         b = hadamard_test(MIRROR, linalg.basis_ket(2, 0), "real", 5000, seed=3)
         assert a == b
+
+    def test_gate_within_the_unitarity_tolerance(self):
+        # deviation 8e-10 <= NORM_TOL; 1/2 + 1/2 Re<psi|u|psi> is off by 2e-10 from the circuit here
+        u = np.diag([1.0000000004, 1.0])
+        result = hadamard_test(u, linalg.basis_ket(2, 0), "real", 10, seed=1)
+        assert linalg.unitarity_deviation(u) <= linalg.NORM_TOL
+        assert abs(result.exact_p0 - 1.0000000004) <= 1e-15
+
+    def test_broken_phase_convention_is_caught(self, monkeypatch):
+        monkeypatch.setattr(measure, "PHASE_NEG_I", np.diag([1, 1j]))
+        psi = np.array([1, 1]) / np.sqrt(2)
+        with pytest.raises(ArithmeticError, match="the phase convention is broken$"):
+            hadamard_test(np.diag([1, 1j]), psi, "imag", 10, seed=0)
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="part"):

@@ -390,8 +390,11 @@ class TestColumnSums:
             assert exact(pathsum._column_sums(pd)) == expected
             assert exact(pathsum._column_sums(pathsum._pinned(pd, output=j))[0] for j in range(d)) == expected
 
-    def test_sums_skip_the_paths_through_zeros(self, monkeypatch):
+    @pytest.mark.parametrize("block", [1, 2, pathsum._BLOCK])
+    def test_sums_skip_the_paths_through_zeros(self, monkeypatch, block):
         # X and diag(1, i) have one nonzero entry per column: 3 of the 5 layers branch.
+        # Blocks of 1 and 2 paths put the layers that do not branch in the head.
+        monkeypatch.setattr(pathsum, "_BLOCK", block)
         pd = PathDiagram(2, (HADAMARD, MIRROR, HADAMARD, np.diag([1, 1j]), HADAMARD), 0)
         engine, weights = pathsum._weight_blocks, []
 
