@@ -45,7 +45,7 @@ def _lookup(table: dict, kind: str, name: str):
 
 
 def _circuit_diagram(
-    doc: dsl.Document, name: str, input_index: int, output: int | None = pathsum.FREE
+    doc: dsl.Document, name: str, input_index: int | None, output: int | None = pathsum.FREE
 ) -> pathsum.PathDiagram:
     return pathsum.PathDiagram(doc.dim, tuple(doc.circuit_layers(name)), input_index, output)
 
@@ -102,20 +102,20 @@ def _cmd_sample(doc: dsl.Document, options: dict) -> tuple[str, int]:
 
 
 def _cmd_verify(doc: dsl.Document, options: dict) -> tuple[str, int]:
-    pd = _circuit_diagram(doc, options["circuit"], 0)
+    pd = _circuit_diagram(doc, options["circuit"], pathsum.FREE)
     u = pathsum.composition_matrix(pd)
     worst = 0.0
-    for i in range(doc.dim):
-        sums = pathsum._column_sums(pathsum._pinned(pd, input=i))
-        for j, amplitude in enumerate(sums):
-            deviation = abs(amplitude - u[j, i])
-            if not math.isfinite(deviation):
-                raise ValueError(_overflow(
-                    f"amplitude (output {j}, input {i})",
-                    ("path sum", amplitude),
-                    ("matrix product", u[j, i]),
-                ))
-            worst = max(worst, deviation)
+    # One pass sums every amplitude, input by input; the first overflow in that order is named.
+    sums = pathsum._column_sums(pd)
+    for (i, j), amplitude in zip(product(range(doc.dim), repeat=2), sums):
+        deviation = abs(amplitude - u[j, i])
+        if not math.isfinite(deviation):
+            raise ValueError(_overflow(
+                f"amplitude (output {j}, input {i})",
+                ("path sum", amplitude),
+                ("matrix product", u[j, i]),
+            ))
+        worst = max(worst, deviation)
     ok = worst <= linalg.AGREE_TOL
     text = f"{'PASS' if ok else 'FAIL'} max_deviation {sci12(worst)}\n"
     return text, EXIT_OK if ok else EXIT_VERIFY

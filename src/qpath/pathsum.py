@@ -10,7 +10,9 @@ and is enforced by the test suite against the matrix route.
 
 Each index runs over every basis value, except that the last one is fixed
 when the output is pinned. ``_ranges`` states these index ranges once, for
-the path count, the weight blocks, the path list and the ``paths`` keys.
+the path count, the weight blocks, the path list and the ``paths`` keys, and
+``_input_range`` states the input's beside them: the pinned input, or every
+input when a sum runs with the input FREE.
 
 Listings enumerate zero-weight paths and never prune them: the
 correspondence between paths and product terms covers vanishing terms too,
@@ -32,11 +34,11 @@ for bit to a scalar product loop. One loop, ``_running_sums``, streams the
 blocks one at a time, checks the path cap and adds the weights in path
 order, in one running sum or one per output. The ``qpath paths`` listing
 formats each block with its running sums, ``enumerate_paths`` makes one
-``Path`` per path, and ``_column_sums`` keeps each output's last sum:
-``qpath verify`` calls it once per input with the output FREE, and
-``path_sum_amplitude``, its pinned one-column case, gives
-``interference_report`` its total. No sum uses builtin ``sum``, whose float
-addition differs between interpreters.
+``Path`` per path, and ``_column_sums`` keeps each column's last sum:
+``qpath verify`` calls it once, with the input and the output FREE, for
+every amplitude of the matrix, and ``path_sum_amplitude``, its one-column
+case pinned at both ends, gives ``interference_report`` its total. No sum
+uses builtin ``sum``, whose float addition differs between interpreters.
 """
 
 from __future__ import annotations
@@ -67,14 +69,16 @@ __all__ = [
     "to_dot",
 ]
 
-#: Sentinel for an unpinned output: enumerate over all final indices.
+#: Sentinel for an unpinned end: an output runs over every final index, and
+#: (in sums) an input over every initial one.
 FREE = None
 
-#: Fail loudly past this many terms in one sum (every path, or the paths into
-#: one output for a column sum). ``enumerate_paths`` materializes a ``Path``
-#: per path, so the cap bounds its memory; sums and the ``paths`` listing
-#: stream blocks of bounded memory, so for them it bounds running time.
-#: ``_running_sums`` reads it when called, so setting it changes every cap.
+#: Fail loudly past this many terms in one sum (every path, or the paths from
+#: one input into one output for a column sum). ``enumerate_paths``
+#: materializes a ``Path`` per path, so the cap bounds its memory; sums and
+#: the ``paths`` listing stream blocks of bounded memory, so for them it
+#: bounds running time. ``_running_sums`` reads it when called, so setting it
+#: changes every cap.
 DEFAULT_PATH_CAP = 10**6
 
 #: Paths per weight block computed by one round of array operations.
@@ -87,18 +91,20 @@ class PathCapExceeded(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class PathDiagram:
-    """A layered composition with a fixed input basis index.
+    """A layered composition between an input and an output basis index.
 
     Fields:
         dim: basis size d of every layer.
         layers: square d x d matrices in time order.
-        input: basis index prepared on the input wire.
+        input: basis index prepared on the input wire, or FREE for a sum
+            over every input at once; listings, ``path_sum_amplitude``,
+            ``interference_report`` and ``emit_lab_diagram`` need one input.
         output: basis index detected at the end, or FREE.
     """
 
     dim: int
     layers: tuple[np.ndarray, ...]
-    input: int
+    input: int | None
     output: int | None = FREE
 
     def __post_init__(self):
@@ -118,9 +124,9 @@ class PathDiagram:
         object.__setattr__(self, "dim", d)
         object.__setattr__(self, "layers", tuple(frozen))
         object.__setattr__(self, "_unbranched", _unbranched(frozen))
-        object.__setattr__(self, "input", linalg._index("input", self.input, d))
-        if self.output is not FREE:
-            object.__setattr__(self, "output", linalg._index("output", self.output, d))
+        for end in ("input", "output"):
+            if getattr(self, end) is not FREE:
+                object.__setattr__(self, end, linalg._index(end, getattr(self, end), d))
 
     @property
     def n_layers(self) -> int:
@@ -168,6 +174,17 @@ def _ranges(pd: PathDiagram) -> list[range]:
     return ranges
 
 
+def _input_range(pd: PathDiagram) -> range:
+    """The input values a pass starts from: every one if the input is FREE, else the pinned one."""
+    return range(pd.dim) if pd.input is FREE else range(pd.input, pd.input + 1)
+
+
+def _one_input(pd: PathDiagram, caller: str) -> None:
+    """Refuse a FREE input where ``caller`` follows the paths from one input."""
+    if pd.input is FREE:
+        raise ValueError(f"{caller} needs one input index, not a FREE input")
+
+
 def _weight_blocks(pd: PathDiagram, unbranched: tuple | None = None):
     """Yield the weights of ``pd``'s paths as float64 ``(re, im)`` arrays.
 
@@ -181,36 +198,43 @@ def _weight_blocks(pd: PathDiagram, unbranched: tuple | None = None):
     A block fixes the index of each of the first ``h`` layers (the head),
     and the rest grow it: its shape is the number of ways each of them
     continues a path, and ``h`` is the smallest count for which a block
-    holds at most ``_BLOCK`` paths, except that the last layer always grows
-    it. One loop takes every layer's step on a block that starts as 1x1 at
-    the input's row. A step that branches multiplies every partial weight
-    by the layer's entries in the rows of its slice (one row in the head,
+    holds at most ``_BLOCK`` paths, except that the last layer and the input
+    always grow it. One loop takes every layer's step on a block that starts
+    as a column of ones, one row per value of ``_input_range`` labelled with
+    that value, so the first step that branches spreads every input at once
+    and the input is the block's oldest axis. A step that branches
+    multiplies every partial weight by the layer's entries in the rows of its slice (one row in the head,
     the index range after it), by broadcasting, adds a block axis and
     labels the rows with its slice. A step that does not branch scales each
     row by its one entry and relabels it with that entry's row index.
     Partial weights keep the newest index on axis 0, so every step's inner
-    loop runs along the long trailing axis; one transpose per block
-    restores lexicographic order.
+    loop runs along the long trailing axis. One transpose per block puts
+    the layers after the head oldest-first, then the input, then the
+    output, so that a path's position in the block, taken modulo the
+    number of (input, output) pairs, names its pair, and each pair's paths
+    come in lexicographic order.
 
     Each step computes ``re*br - im*bi, re*bi + im*br``, the formula of a
     scalar complex product, so every weight equals the scalar loop's
     ``w = 1; w *= layer[k, prev]`` bit for bit. numpy's vectorized complex
     multiply can differ from it in the last bit.
     """
-    ranges = _ranges(pd)
+    ranges, ins = _ranges(pd), _input_range(pd)
     unbranched = unbranched or (None,) * pd.n_layers
     ways = [len(ks) if one is None else 1 for ks, one in zip(ranges, unbranched)]
     h = pd.n_layers - 1
-    while h > 0 and math.prod(ways[h - 1 :]) <= _BLOCK:
+    while h > 0 and math.prod(ways[h - 1 :]) * len(ins) <= _BLOCK:
         h -= 1
-    shape = ways[h:][::-1]
+    # Axis a of a block's shape is layer L-1-a's index, and its last axis, m, is the input's.
+    shape, m = [*ways[h:][::-1], len(ins)], pd.n_layers - h
+    order = (*range(m - 1, 0, -1), m, 0)
     # steps[t]: the steps layer t can take in a block; a head layer that branches has one per index.
     steps = [[one] if one is not None else [slice(k, k + 1) for k in ks] if t < h else [slice(ks.start, ks.stop)]
              for t, (ks, one) in enumerate(zip(ranges, unbranched))]
     parts = [(m.real.copy(), m.imag.copy()) for m in pd.layers]
 
     for block in product(*steps):
-        re, im, prevs = np.ones((1, 1)), np.zeros((1, 1)), slice(pd.input, pd.input + 1)
+        re, im, prevs = np.ones((len(ins), 1)), np.zeros((len(ins), 1)), slice(ins.start, ins.stop)
         for (mr, mi), step in zip(parts, block):
             if isinstance(step, slice):
                 br, bi = mr[step, prevs, None], mi[step, prevs, None]
@@ -221,7 +245,7 @@ def _weight_blocks(pd: PathDiagram, unbranched: tuple | None = None):
                 prevs = to[prevs]
             re, im = re * br - im * bi, re * bi + im * br
             re, im = re.reshape(len(re), -1), im.reshape(len(im), -1)
-        yield re.reshape(shape).transpose().reshape(-1), im.reshape(shape).transpose().reshape(-1)
+        yield re.reshape(shape).transpose(order).reshape(-1), im.reshape(shape).transpose(order).reshape(-1)
 
 
 def _accumulate(carry: float | np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -240,15 +264,16 @@ def _running_sums(pd: PathDiagram, w: int, unbranched: tuple | None = None):
     """Yield ``(re, im, run_re, run_im)``: each weight block and its running sums in ``w`` columns.
 
     Column c holds the paths at positions c, c + w, c + 2w, ...: every path
-    if ``w = 1``, the paths into output c if ``w`` counts the last index's
-    values. ``run_re[n], run_im[n]`` sums the column of the block's n-th path
-    up to that path, each part carried from block to block by ``_accumulate``
+    if ``w = 1``; if ``w`` counts the pairs of an input value and a last
+    index value, the paths of pair c, in the order ``_weight_blocks`` gives
+    (input by input). ``run_re[n], run_im[n]`` sums the column of the
+    block's n-th path up to that path, each part carried from block to block by ``_accumulate``
     on ``(n, w)`` reshapes, as Python's ``running += weight`` adds them. All
     four arrays are flat, in path order. ``unbranched`` goes to
     ``_weight_blocks``. The cap bounds each column's paths, all of them
     counted, whether skipped or not.
     """
-    count = math.prod(map(len, _ranges(pd))) // w
+    count = math.prod(map(len, _ranges(pd))) * len(_input_range(pd)) // w
     if count > DEFAULT_PATH_CAP:
         raise PathCapExceeded(f"diagram has {count} paths, exceeding the cap of {DEFAULT_PATH_CAP}")
     run_re = run_im = np.zeros(w)
@@ -263,8 +288,9 @@ def enumerate_paths(pd: PathDiagram) -> list[Path]:
 
     With the output pinned to j there are exactly d**(L-1) paths (interior
     indices run free, the last index is forced to j); with a FREE output
-    there are d**L. Zero-weight paths are included.
+    there are d**L. Zero-weight paths are included. The input must be pinned.
     """
+    _one_input(pd, "enumerate_paths")
     weights = (
         complex(a, b)
         for re, im, _, _ in _running_sums(pd, 1)
@@ -280,24 +306,28 @@ def path_sum_amplitude(pd: PathDiagram, output_index: int) -> complex:
     reassociation; the test suite holds the two routes together at 1e-10.
     It is the one-column case of ``_column_sums``, so it skips the paths
     through the zeros of layers that do not branch and equals the sum over
-    every path bit for bit.
+    every path bit for bit. The input must be pinned.
     """
+    _one_input(pd, "path_sum_amplitude")
     return _column_sums(_pinned(pd, output=output_index))[0]
 
 
 def _column_sums(pd: PathDiagram) -> list[complex]:
-    """The path sums into each output ``pd`` allows, in one pass: every output if FREE, else one.
+    """The path sums from each input into each output ``pd`` allows, in one pass, input by input.
 
-    ``_running_sums`` runs with one column per output and this keeps each
-    column's last running sum, so each output's paths add in path order,
-    left to right. A FREE pass's column j therefore equals the pinned
-    ``path_sum_amplitude(pd, j)`` bit for bit. The pass skips the paths
-    through the zero entries of the layers that do not branch; if any sum
-    it gives is not finite, a second pass sums over every path, so each sum
-    equals the sum over every path bit for bit (see the module docstring).
-    The cap holds per amplitude, on all the paths into one output.
+    A FREE end takes every value and a pinned one its own, so with both
+    ends FREE the pass gives all d*d amplitudes ``<j|U|i>``, at position
+    ``i*d + j``. ``_running_sums`` runs with one column per (input, output)
+    and this keeps each column's last running sum, so each amplitude's paths
+    add in path order, left to right. A column therefore equals the sum
+    pinned at both of its ends bit for bit, ``path_sum_amplitude``'s among
+    them. The pass skips the paths through the zero entries of the layers
+    that do not branch; if any sum it gives is not finite, a second pass
+    sums over every path, so each sum equals the sum over every path bit
+    for bit (see the module docstring). The cap holds per amplitude, on all
+    the paths from one input into one output.
     """
-    w = len(_ranges(pd)[-1])
+    w = len(_input_range(pd)) * len(_ranges(pd)[-1])
     for unbranched in (pd._unbranched, None):
         for _, _, run_re, run_im in _running_sums(pd, w, unbranched):
             pass
@@ -334,6 +364,7 @@ def interference_report(pd: PathDiagram, output_index: int) -> InterferenceRepor
     tol. Anything in between is mixed. ``total`` is ``path_sum_amplitude``'s,
     and ``weight_sum`` adds the magnitudes in path order too.
     """
+    _one_input(pd, "interference_report")
     tol = linalg.AGREE_TOL
     pinned = _pinned(pd, output=output_index)
     paths = tuple(enumerate_paths(pinned))
@@ -413,8 +444,10 @@ def emit_lab_diagram(pd: PathDiagram) -> LabDiagram:
 
     Every root-to-sink walk through the prepared branch traverses one
     weighted line per layer; its weight product is the corresponding path
-    weight, so the walk set is exactly the FREE-output path set.
+    weight, so the walk set is exactly the FREE-output path set. The input
+    must be pinned.
     """
+    _one_input(pd, "emit_lab_diagram")
     d, L = pd.dim, pd.n_layers
 
     nodes = ["prep"]

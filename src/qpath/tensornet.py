@@ -53,13 +53,8 @@ class Tensor:
     __slots__ = ("legs", "data")
 
     def __init__(self, legs, data):
-        legs = tuple((str(name), int(dim)) for name, dim in legs)
-        names = [name for name, _ in legs]
-        if len(set(names)) != len(names):
-            raise NetworkError(f"duplicate leg names in {names}")
+        legs = _legs(legs)
         dims = tuple(dim for _, dim in legs)
-        if any(dim < 1 for dim in dims):
-            raise NetworkError(f"leg dimensions must be positive, got {dims}")
         arr = np.asarray(data, dtype=complex)
         size = math.prod(dims)
         if arr.shape == (size,) and arr.shape != dims:
@@ -75,6 +70,19 @@ class Tensor:
 
     def __setattr__(self, name, value):
         raise AttributeError("Tensor is immutable")
+
+    @classmethod
+    def _of_checked(cls, legs, arr: np.ndarray) -> "Tensor":
+        """A Tensor over ``arr`` itself: finite, complex, C-contiguous, of the legs' shape, owned by the caller.
+
+        The legs are checked as ``__init__`` checks them; the array is made
+        read-only instead of being checked and copied again.
+        """
+        tensor = object.__new__(cls)
+        arr.setflags(write=False)
+        object.__setattr__(tensor, "legs", _legs(legs))
+        object.__setattr__(tensor, "data", arr)
+        return tensor
 
     @classmethod
     def from_matrix(cls, m) -> "Tensor":
@@ -107,6 +115,18 @@ class Tensor:
     def __repr__(self) -> str:
         legs = ", ".join(f"{n}:{d}" for n, d in self.legs)
         return f"Tensor({legs})"
+
+
+def _legs(legs) -> tuple[tuple[str, int], ...]:
+    """``legs`` as (name, dim) pairs, checked for unique names and positive dimensions."""
+    legs = tuple((str(name), int(dim)) for name, dim in legs)
+    names = [name for name, _ in legs]
+    if len(set(names)) != len(names):
+        raise NetworkError(f"duplicate leg names in {names}")
+    dims = tuple(dim for _, dim in legs)
+    if any(dim < 1 for dim in dims):
+        raise NetworkError(f"leg dimensions must be positive, got {dims}")
+    return legs
 
 
 def _fmt_endpoint(p: EndPoint) -> str:
@@ -246,11 +266,13 @@ class Network:
 
         perm = [labels.index(p) for p in self.free_legs]
         out = np.transpose(arr, perm) if perm else arr
+        if not out.flags.c_contiguous:
+            out = out.copy()
         if not np.isfinite(out).all():
             idx = tuple(np.argwhere(~np.isfinite(out))[0].tolist())
             raise NetworkError(_overflow(f"entry {_entry_key(idx)}", ("contraction", out[idx])))
         out_legs = [(f"{node}.{leg}", self._dim_of((node, leg))) for node, leg in self.free_legs]
-        return Tensor(out_legs, out)
+        return Tensor._of_checked(out_legs, out)
 
     # -- graph surgery -----------------------------------------------------
 

@@ -98,17 +98,18 @@ class TestRunCommand:
         assert code == 0 and text.startswith("PASS max_deviation ")
         assert spy.call_count == 5
 
-    def test_verify_sums_each_input_in_one_pass(self):
+    def test_verify_sums_every_amplitude_in_one_pass(self):
         rng = np.random.default_rng(8)
         doc = circuit_doc([rng.standard_normal((8, 8)) / 8 for _ in range(3)])
         with mock.patch.object(pathsum, "_weight_blocks", wraps=pathsum._weight_blocks) as spy:
             text, code = cli.run_command(doc, "verify", {"circuit": "c"})
         assert code == 0 and text.startswith("PASS max_deviation ")
-        assert spy.call_count == 8
-        assert all(call.args[0].output is pathsum.FREE for call in spy.call_args_list)
+        assert spy.call_count == 1
+        pd = spy.call_args.args[0]
+        assert pd.input is pathsum.FREE and pd.output is pathsum.FREE
 
     def test_verify_caps_the_paths_into_one_output(self):
-        # 20 layers: 2**19 paths per amplitude, 2**20 per input's pass over both outputs
+        # 20 layers: 2**19 paths per amplitude, 2**21 in the one pass over every input and output
         hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
         text, code = cli.run_command(circuit_doc([hadamard] * 20), "verify", {"circuit": "c"})
         assert code == 0 and text.startswith("PASS max_deviation ")

@@ -44,6 +44,17 @@ class TestDiagram:
             PathDiagram(2, (), 0)
 
 
+@pytest.mark.parametrize("name, call", [
+    ("enumerate_paths", lambda pd: enumerate_paths(pd)),
+    ("path_sum_amplitude", lambda pd: path_sum_amplitude(pd, 0)),
+    ("interference_report", lambda pd: interference_report(pd, 0)),
+    ("emit_lab_diagram", lambda pd: emit_lab_diagram(pd)),
+])
+def test_one_input_entry_points_refuse_a_free_input(name, call):
+    with pytest.raises(ValueError, match=f"^{name} needs one input index, not a FREE input$"):
+        call(PathDiagram(2, (HADAMARD, MIRROR, HADAMARD), FREE))
+
+
 class TestEnumeration:
     def test_four_paths_fixed_output(self):
         assert len(enumerate_paths(mach_zehnder(0, 0))) == 4
@@ -359,6 +370,11 @@ def assert_columns_equal_pinned_sums(pd):
     assert list(map(repr, columns)) == [repr(path_sum_amplitude(pd, j)) for j in range(pd.dim)]
 
 
+def per_input_sums(pd):
+    """The FREE-output sums of each input's own pass, input by input."""
+    return [s for i in range(pd.dim) for s in pathsum._column_sums(pathsum._pinned(pd, input=i))]
+
+
 class TestColumnSums:
     """Each column of a pass over every output equals that output's pinned sum, bit for bit."""
 
@@ -375,6 +391,8 @@ class TestColumnSums:
         pd = PathDiagram(d, dense_layers(d, L), 1)
         assert len(list(pathsum._weight_blocks(pd))) > 1
         assert_columns_equal_pinned_sums(pd)
+        free = PathDiagram(d, pd.layers, FREE)
+        assert exact(pathsum._column_sums(free)) == exact(per_input_sums(free))
 
     @settings(max_examples=80)
     @given(data=st.data())
@@ -390,6 +408,19 @@ class TestColumnSums:
             assert exact(pathsum._column_sums(pd)) == expected
             assert exact(pathsum._column_sums(pathsum._pinned(pd, output=j))[0] for j in range(d)) == expected
 
+    @pytest.mark.parametrize("block", [1, 4, 2**14])
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_free_input_pass_equals_the_per_input_passes_property(self, block, data):
+        # One pass over every input gives each input's pass's sums in order, overflowing scales included.
+        d = data.draw(st.integers(1, 4), label="d")
+        L = data.draw(st.integers(1, 6), label="L")
+        layers = tuple(data.draw(column_layer(d), label=f"layer {t}") for t in range(L))
+        output = data.draw(st.one_of(st.none(), st.integers(0, d - 1)), label="output")
+        pd = PathDiagram(d, layers, FREE, output)
+        with mock.patch.object(pathsum, "_BLOCK", block), np.errstate(over="ignore", invalid="ignore"):
+            assert exact(pathsum._column_sums(pd)) == exact(per_input_sums(pd))
+
     @pytest.mark.parametrize("block", [1, 2, pathsum._BLOCK])
     def test_sums_skip_the_paths_through_zeros(self, monkeypatch, block):
         # X and diag(1, i) have one nonzero entry per column: 3 of the 5 layers branch.
@@ -404,11 +435,10 @@ class TestColumnSums:
                 yield re, im
 
         monkeypatch.setattr(pathsum, "_weight_blocks", counting)
-        for i in range(2):
-            weights.clear()
-            pinned = pathsum._pinned(pd, input=i)
-            assert exact(pathsum._column_sums(pinned)) == exact(oracle_sum(pinned, j) for j in range(2))
-            assert sum(weights) == 2**3
+        free = PathDiagram(2, pd.layers, FREE)
+        expected = [oracle_sum(pathsum._pinned(pd, input=i), j) for i in range(2) for j in range(2)]
+        assert exact(pathsum._column_sums(free)) == exact(expected)
+        assert sum(weights) == 2 * 2**3
         weights.clear()
         paths = enumerate_paths(pd)
         assert sum(weights) == len(paths) == 2**5

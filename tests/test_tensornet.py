@@ -196,6 +196,24 @@ class TestContract:
                 assert fast.legs == slow.legs
                 assert linalg.max_abs_diff(fast.data, slow.data) <= 1e-10
 
+    def test_result_is_the_checked_array_made_read_only(self, monkeypatch):
+        # contract checks its result once; the Tensor around it neither checks nor copies it again.
+        rng = np.random.default_rng(3)
+        m, n = random_matrix(rng, 3), random_matrix(rng, 3)
+        net = Network(
+            {"m": Tensor.from_matrix(m), "n": Tensor.from_matrix(n)},
+            edges=[(("m", "out"), ("n", "in"))],
+            free_legs=[("n", "out"), ("m", "in")],
+        )
+        isfinite = np.isfinite
+        calls = []
+        monkeypatch.setattr(np, "isfinite", lambda a: calls.append(a.shape) or isfinite(a))
+        result = net.contract()
+        assert calls == [(3, 3)]
+        assert result.legs == (("n.out", 3), ("m.in", 3))
+        assert not result.data.flags.writeable and result.data.flags.c_contiguous
+        assert linalg.max_abs_diff(result.data, n @ m) <= 1e-12
+
     def test_random_networks_match_brute_force(self):
         rng = np.random.default_rng(8)
         for _ in range(40):
