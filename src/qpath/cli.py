@@ -73,19 +73,19 @@ def _cmd_paths(doc: dsl.Document, options: dict) -> tuple[str, int]:
     keys = map(",".join, product(*[map(str, ks) for ks in pathsum._ranges(pd)]))
     line = "{} {:.11e} {:.11e} {:.11e} {:.11e}\n".format
     blocks = []
-    for re, im, run_re, run_im in pathsum._running_sums(pd, 1):
+    for weights, sums in pathsum._running_sums(pd, 1):
         # The first path whose running sum is not finite names the overflow.
-        overflow = ~(np.isfinite(run_re) & np.isfinite(run_im))
+        overflow = ~np.isfinite(sums).all(axis=0)
         if overflow.any():
             n = int(overflow.argmax())
             raise ValueError(_overflow(
                 f"path {next(islice(keys, n, None))}",
-                ("weight", complex(re[n], im[n])),
-                ("running sum", complex(run_re[n], run_im[n])),
+                ("weight", complex(*weights[:, n])),
+                ("running sum", complex(*sums[:, n])),
             ))
         # Adding 0.0 folds -0.0, as sci12 does.
-        columns = [(a + 0.0).tolist() for a in (re, im, run_re, run_im)]
-        blocks.append("".join(map(line, islice(keys, len(re)), *columns)))
+        columns = (np.concatenate((weights, sums)) + 0.0).tolist()
+        blocks.append("".join(map(line, islice(keys, weights.shape[1]), *columns)))
     return "".join(blocks), EXIT_OK
 
 

@@ -116,10 +116,10 @@ def sample(probabilities, shots: int, seed: int) -> MeasurementRecord:
         raise ValueError("probabilities must be finite and non-negative")
     if abs(float(p.sum()) - 1.0) > linalg.NORM_TOL:
         raise ValueError(f"probabilities sum to {float(p.sum())!r}, expected 1")
-    shots = int(shots)
+    shots = linalg._integer("shots", shots)
     if shots < 1:
         raise ValueError(f"shots must be positive, got {shots}")
-    seed = int(seed)
+    seed = linalg._integer("seed", seed)
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
 

@@ -29,16 +29,21 @@ skipped path multiplies a finite prefix by an exact zero, so its weight is
 +0.0 unchanged. Where a sum is not finite, ``_column_sums`` sums over every
 path again, so overflow is reported exactly as the full sum gives it.
 
-Weights are computed in numpy blocks of up to ``_BLOCK`` paths, equal bit
-for bit to a scalar product loop. One loop, ``_running_sums``, streams the
-blocks one at a time, checks the path cap and adds the weights in path
-order, in one running sum or one per output. The ``qpath paths`` listing
-formats each block with its running sums, ``enumerate_paths`` makes one
-``Path`` per path, and ``_column_sums`` keeps each column's last sum:
-``qpath verify`` calls it once, with the input and the output FREE, for
-every amplitude of the matrix, and ``path_sum_amplitude``, its one-column
-case pinned at both ends, gives ``interference_report`` its total. No sum
-uses builtin ``sum``, whose float addition differs between interpreters.
+A diagram checks its layers once, as one read-only ``(L, d, d)`` stack, and
+its ``layers`` are views of that stack's rows. From the same stack it keeps,
+in one array, each entry's float parts ``P = [re, im]`` and ``Q = [-im,
+re]``. Weights are computed in numpy blocks of up to ``_BLOCK`` paths, both
+parts in one ``(2, n)`` array, so a layer's step is ``w[0] * P + w[1] * Q``,
+equal bit for bit to a scalar product loop (see ``_weight_blocks``). One
+loop, ``_running_sums``, streams the blocks one at a time, checks the path
+cap and adds both parts' weights in path order, in one running sum or one
+per output. The ``qpath paths`` listing formats each block with its running
+sums, ``enumerate_paths`` makes one ``Path`` per path, and ``_column_sums``
+keeps each column's last sum: ``qpath verify`` calls it once, with the input
+and the output FREE, for every amplitude of the matrix, and
+``path_sum_amplitude``, its one-column case pinned at both ends, gives
+``interference_report`` its total. No sum uses builtin ``sum``, whose float
+addition differs between interpreters.
 """
 
 from __future__ import annotations
@@ -95,7 +100,8 @@ class PathDiagram:
 
     Fields:
         dim: basis size d of every layer.
-        layers: square d x d matrices in time order.
+        layers: square d x d matrices in time order; the diagram keeps
+            them as read-only views of one checked ``(L, d, d)`` copy.
         input: basis index prepared on the input wire, or FREE for a sum
             over every input at once; listings, ``path_sum_amplitude``,
             ``interference_report`` and ``emit_lab_diagram`` need one input.
@@ -111,19 +117,11 @@ class PathDiagram:
         d = linalg._dim(self.dim)
         if not self.layers:
             raise ValueError("an empty composition has no diagram")
-        frozen = []
-        for t, layer in enumerate(self.layers):
-            m = linalg.as_matrix(layer)
-            if m.shape != (d, d):
-                raise ValueError(
-                    f"layer {t} has shape {m.shape}, expected ({d}, {d})"
-                )
-            m = m.copy()
-            m.setflags(write=False)
-            frozen.append(m)
+        stack = _layer_stack(self.layers, d)
         object.__setattr__(self, "dim", d)
-        object.__setattr__(self, "layers", tuple(frozen))
-        object.__setattr__(self, "_unbranched", _unbranched(frozen))
+        object.__setattr__(self, "layers", tuple(stack))
+        object.__setattr__(self, "_parts", _parts(stack))
+        object.__setattr__(self, "_unbranched", _unbranched(stack, self._parts))
         for end in ("input", "output"):
             if getattr(self, end) is not FREE:
                 object.__setattr__(self, end, linalg._index(end, getattr(self, end), d))
@@ -141,21 +139,55 @@ class Path:
     weight: complex
 
 
-def _unbranched(layers: tuple[np.ndarray, ...]) -> tuple:
+def _layer_stack(layers, d: int) -> np.ndarray:
+    """The layers as one read-only ``(L, d, d)`` complex stack, checked by one ``as_matrix`` call.
+
+    ``as_matrix`` checks the stack's ``(L*d, d)`` view, so a finite stack
+    passes as a whole. Layers that do not stack to that shape are taken one
+    at a time instead, only to name the first bad one: ``as_matrix``'s error
+    first, else ``layer t has shape ...``.
+    """
+    try:
+        stack = np.array(layers, dtype=complex)
+    except (TypeError, ValueError):
+        stack = None
+    if stack is None or stack.shape != (len(layers), d, d):
+        for t, layer in enumerate(layers):
+            shape = linalg.as_matrix(layer).shape
+            if shape != (d, d):
+                raise ValueError(f"layer {t} has shape {shape}, expected ({d}, {d})")
+    linalg.as_matrix(stack.reshape(-1, d))
+    stack.setflags(write=False)
+    return stack
+
+
+def _parts(stack: np.ndarray) -> np.ndarray:
+    """Per layer, the float64 parts ``[P, Q]`` of its entries, as one ``(L, 2, 2, d, d)`` view.
+
+    ``P = [re, im]`` and ``Q = [-im, re]``, so a weight ``w = [re, im]``
+    times an entry ``b`` is ``w[0] * P + w[1] * Q``: ``re*br + im*(-bi),
+    re*bi + im*br``.
+    """
+    re, im = stack.real, stack.imag
+    return np.array(((re, im), (-im, re))).transpose(2, 0, 1, 3, 4)
+
+
+def _unbranched(stack: np.ndarray, parts: np.ndarray) -> tuple:
     """Per layer: None if it branches, else where each of its columns goes.
 
     A layer with exactly one nonzero entry in every column p sends a path at
-    p on to that entry's row alone; for it the item is ``(rows, re, im)``,
-    with ``rows[p]`` that row and ``re[p], im[p]`` the entry's parts. The last
-    layer is always None: its index is the output, one column per value.
+    p on to that entry's row alone; for it the item is ``(rows, entries)``,
+    with ``rows[p]`` that row and ``entries[..., p]`` the ``[P, Q]`` of its
+    entry, gathered from ``parts``. The last layer is always None: its
+    index is the output, one column per value. The table comes from a few
+    calls on the whole stack.
     """
-    stack = np.array(layers)
     nonzero = stack != 0
     single = (nonzero.sum(axis=1) == 1).all(axis=1)
     single[-1] = False
     rows = nonzero.argmax(axis=1)
-    entries = stack[np.arange(len(stack))[:, None], rows, np.arange(stack.shape[2])]
-    return tuple((r, e.real, e.imag) if one else None for one, r, e in zip(single.tolist(), rows, entries))
+    entries = parts[np.arange(len(stack))[:, None], :, :, rows, np.arange(stack.shape[2])].transpose(0, 2, 3, 1)
+    return tuple((r, e) if one else None for one, r, e in zip(single.tolist(), rows, entries))
 
 
 def _pinned(pd: PathDiagram, **ends: int) -> PathDiagram:
@@ -186,7 +218,7 @@ def _one_input(pd: PathDiagram, caller: str) -> None:
 
 
 def _weight_blocks(pd: PathDiagram, unbranched: tuple | None = None):
-    """Yield the weights of ``pd``'s paths as float64 ``(re, im)`` arrays.
+    """Yield the weights of ``pd``'s paths as float64 ``(2, n)`` arrays: real parts, then imaginary.
 
     Paths come in lexicographic order over the index ranges of ``_ranges``,
     as ``enumerate_paths`` lists them, in fresh arrays that the caller owns.
@@ -203,21 +235,28 @@ def _weight_blocks(pd: PathDiagram, unbranched: tuple | None = None):
     as a column of ones, one row per value of ``_input_range`` labelled with
     that value, so the first step that branches spreads every input at once
     and the input is the block's oldest axis. A step that branches
-    multiplies every partial weight by the layer's entries in the rows of its slice (one row in the head,
-    the index range after it), by broadcasting, adds a block axis and
-    labels the rows with its slice. A step that does not branch scales each
-    row by its one entry and relabels it with that entry's row index.
-    Partial weights keep the newest index on axis 0, so every step's inner
-    loop runs along the long trailing axis. One transpose per block puts
-    the layers after the head oldest-first, then the input, then the
-    output, so that a path's position in the block, taken modulo the
-    number of (input, output) pairs, names its pair, and each pair's paths
-    come in lexicographic order.
+    multiplies every partial weight by the layer's entries in the rows of
+    its slice (one row in the head, the index range after it), by
+    broadcasting, adds a block axis and labels the rows with its slice. A
+    step that does not branch scales each row by its one entry and
+    relabels it with that entry's row index. Partial weights are one
+    ``(2, rows, rest)`` array, both parts with the newest index on axis 1,
+    so every step's inner loop runs along the long trailing axis. One
+    transpose per block, of both parts at once, puts the layers after the
+    head oldest-first, then the input, then the output, so that a path's
+    position in the block, taken modulo the number of (input, output)
+    pairs, names its pair, and each pair's paths come in lexicographic
+    order.
 
-    Each step computes ``re*br - im*bi, re*bi + im*br``, the formula of a
-    scalar complex product, so every weight equals the scalar loop's
-    ``w = 1; w *= layer[k, prev]`` bit for bit. numpy's vectorized complex
-    multiply can differ from it in the last bit.
+    A step is ``w[0] * P + w[1] * Q`` on the ``_parts`` of the entries,
+    ``re*br + im*(-bi), re*bi + im*br``: one multiply, of ``w`` against
+    ``[P, Q]``, forms both products of both parts, and one add sums them.
+    That is the formula of a scalar complex product, ``re*br - im*bi,
+    re*bi + im*br``, bit for bit, signed zeros included: IEEE 754 defines
+    ``x - y`` as ``x + (-y)``, and flipping a sign commutes exactly with a
+    rounded product. So every weight equals the scalar loop's ``w = 1; w
+    *= layer[k, prev]`` bit for bit. numpy's vectorized complex multiply
+    can differ from it in the last bit, so the parts stay apart.
     """
     ranges, ins = _ranges(pd), _input_range(pd)
     unbranched = unbranched or (None,) * pd.n_layers
@@ -227,60 +266,59 @@ def _weight_blocks(pd: PathDiagram, unbranched: tuple | None = None):
         h -= 1
     # Axis a of a block's shape is layer L-1-a's index, and its last axis, m, is the input's.
     shape, m = [*ways[h:][::-1], len(ins)], pd.n_layers - h
-    order = (*range(m - 1, 0, -1), m, 0)
+    order = (0, *range(m, 1, -1), m + 1, 1)
     # steps[t]: the steps layer t can take in a block; a head layer that branches has one per index.
     steps = [[one] if one is not None else [slice(k, k + 1) for k in ks] if t < h else [slice(ks.start, ks.stop)]
              for t, (ks, one) in enumerate(zip(ranges, unbranched))]
-    parts = [(m.real.copy(), m.imag.copy()) for m in pd.layers]
+    start = np.zeros((2, len(ins), 1))
+    start[0] = 1.0
 
     for block in product(*steps):
-        re, im, prevs = np.ones((len(ins), 1)), np.zeros((len(ins), 1)), slice(ins.start, ins.stop)
-        for (mr, mi), step in zip(parts, block):
+        w, prevs = start, slice(ins.start, ins.stop)
+        for pq, step in zip(pd._parts, block):
             if isinstance(step, slice):
-                br, bi = mr[step, prevs, None], mi[step, prevs, None]
-                prevs = step
+                x, prevs = w[:, None, None] * pq[:, :, step, prevs, None], step
             else:
-                to, er, ei = step
-                br, bi = er[prevs, None], ei[prevs, None]
-                prevs = to[prevs]
-            re, im = re * br - im * bi, re * bi + im * br
-            re, im = re.reshape(len(re), -1), im.reshape(len(im), -1)
-        yield re.reshape(shape).transpose(order).reshape(-1), im.reshape(shape).transpose(order).reshape(-1)
+                to, pq = step
+                x, prevs = w[:, None] * pq[:, :, prevs, None], to[prevs]
+            # x[0] is w[0] * P and x[1] is w[1] * Q, with the new rows on axis 2.
+            w = np.add(*x.reshape(2, 2, x.shape[2], -1))
+        yield w.reshape(2, *shape).transpose(order).reshape(2, -1)
 
 
-def _accumulate(carry: float | np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Running sums of ``weights`` added in sequence to ``carry``, in one new array.
+def _accumulate(carry, weights) -> np.ndarray:
+    """Running sums of ``weights`` along axis -2, added in sequence to ``carry``, in one new array.
 
-    Element n is ``carry + w[0] + ... + w[n]`` added left to right, so a total
-    carried from block to block equals Python's ``total += w`` over the paths
-    in order: ``np.add.accumulate`` adds in sequence, where ``np.sum`` would
-    add pairwise. Under a carry row, the columns of a 2-D block of rows add
-    the same way, each on its own: ``np.add.accumulate`` runs along axis 0.
+    ``carry`` is one row long on that axis. Row n is ``carry + w[0] + ... +
+    w[n]`` added left to right, so a total carried from block to block
+    equals Python's ``total += w`` over the paths in order:
+    ``np.add.accumulate`` adds in sequence, where ``np.sum`` would add
+    pairwise. The other axes add the same way, each entry on its own.
     """
-    return np.add.accumulate(np.concatenate(([carry], weights)))[1:]
+    return np.add.accumulate(np.concatenate((carry, weights), axis=-2), axis=-2)[..., 1:, :]
 
 
 def _running_sums(pd: PathDiagram, w: int, unbranched: tuple | None = None):
-    """Yield ``(re, im, run_re, run_im)``: each weight block and its running sums in ``w`` columns.
+    """Yield ``(weights, sums)``: each weight block and its running sums in ``w`` columns.
 
-    Column c holds the paths at positions c, c + w, c + 2w, ...: every path
-    if ``w = 1``; if ``w`` counts the pairs of an input value and a last
-    index value, the paths of pair c, in the order ``_weight_blocks`` gives
-    (input by input). ``run_re[n], run_im[n]`` sums the column of the
-    block's n-th path up to that path, each part carried from block to block by ``_accumulate``
-    on ``(n, w)`` reshapes, as Python's ``running += weight`` adds them. All
-    four arrays are flat, in path order. ``unbranched`` goes to
-    ``_weight_blocks``. The cap bounds each column's paths, all of them
-    counted, whether skipped or not.
+    Both are float64 ``(2, n)`` arrays, real parts in row 0 and imaginary
+    parts in row 1, in path order. Column c holds the paths at positions
+    c, c + w, c + 2w, ...: every path if ``w = 1``; if ``w`` counts the
+    pairs of an input value and a last index value, the paths of pair c,
+    in the order ``_weight_blocks`` gives (input by input). ``sums[:, n]``
+    adds the column of the block's n-th path up to that path, both parts
+    and every column carried from block to block by one ``_accumulate`` on
+    the ``(2, n // w, w)`` view, as Python's ``running += weight`` adds
+    them. ``unbranched`` goes to ``_weight_blocks``. The cap bounds each
+    column's paths, all of them counted, whether skipped or not.
     """
     count = math.prod(map(len, _ranges(pd))) * len(_input_range(pd)) // w
     if count > DEFAULT_PATH_CAP:
         raise PathCapExceeded(f"diagram has {count} paths, exceeding the cap of {DEFAULT_PATH_CAP}")
-    run_re = run_im = np.zeros(w)
-    for re, im in _weight_blocks(pd, unbranched):
-        run_re = _accumulate(run_re[-w:], re.reshape(-1, w)).reshape(-1)
-        run_im = _accumulate(run_im[-w:], im.reshape(-1, w)).reshape(-1)
-        yield re, im, run_re, run_im
+    run = np.zeros((2, 1, w))
+    for weights in _weight_blocks(pd, unbranched):
+        run = _accumulate(run[:, -1:], np.reshape(weights, (2, -1, w)))
+        yield weights, run.reshape(2, -1)
 
 
 def enumerate_paths(pd: PathDiagram) -> list[Path]:
@@ -293,7 +331,7 @@ def enumerate_paths(pd: PathDiagram) -> list[Path]:
     _one_input(pd, "enumerate_paths")
     weights = (
         complex(a, b)
-        for re, im, _, _ in _running_sums(pd, 1)
+        for (re, im), _ in _running_sums(pd, 1)
         for a, b in zip(re.tolist(), im.tolist())
     )
     return [Path(k, w) for k, w in zip(product(*_ranges(pd)), weights)]
@@ -329,11 +367,12 @@ def _column_sums(pd: PathDiagram) -> list[complex]:
     """
     w = len(_input_range(pd)) * len(_ranges(pd)[-1])
     for unbranched in (pd._unbranched, None):
-        for _, _, run_re, run_im in _running_sums(pd, w, unbranched):
+        for _, sums in _running_sums(pd, w, unbranched):
             pass
-        if np.isfinite(run_re[-w:]).all() and np.isfinite(run_im[-w:]).all():
+        last = sums[:, -w:]
+        if np.isfinite(last).all():
             break
-    return list(map(complex, run_re[-w:].tolist(), run_im[-w:].tolist()))
+    return list(map(complex, *last.tolist()))
 
 
 def composition_matrix(pd: PathDiagram) -> np.ndarray:
@@ -370,7 +409,8 @@ def interference_report(pd: PathDiagram, output_index: int) -> InterferenceRepor
     paths = tuple(enumerate_paths(pinned))
     total = path_sum_amplitude(pinned, pinned.output)
     magnitude = abs(total)
-    weight_sum = float(_accumulate(0.0, [abs(p.weight) for p in paths])[-1])
+    magnitudes = np.reshape([abs(p.weight) for p in paths], (-1, 1))
+    weight_sum = float(_accumulate([[0.0]], magnitudes)[-1, 0])
     if magnitude <= tol and weight_sum > tol:
         verdict = "destructive"
     elif abs(magnitude - weight_sum) <= tol:

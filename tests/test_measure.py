@@ -147,6 +147,19 @@ class TestSample:
         with pytest.raises(ValueError):
             sample([0.5, 0.5], 0, seed=0)
 
+    @pytest.mark.parametrize("shots, seed, message", [
+        (2.7, 1, r"^shots must be an integer, got 2\.7$"),
+        (2, 1.9, r"^seed must be an integer, got 1\.9$"),
+    ])
+    def test_non_integer_shots_and_seed_rejected(self, shots, seed, message):
+        with pytest.raises(ValueError, match=message):
+            sample([0.5, 0.5], shots, seed)
+
+    def test_numpy_integer_shots_and_seed_accepted(self):
+        record = sample([0.5, 0.5], np.int64(30), np.uint32(4))
+        assert record == sample([0.5, 0.5], 30, 4)
+        assert type(record.shots) is int and type(record.seed) is int
+
     def test_render_format(self):
         record = sample([1.0, 0.0], 3, seed=9)
         assert record.render() == (
@@ -191,6 +204,14 @@ class TestHadamardTest:
     def test_diag_phase_flip(self):
         result = hadamard_test(np.diag([1, -1]).astype(complex), linalg.basis_ket(2, 1), "real", 100, seed=1)
         assert abs(result.exact_p0) <= 1e-10
+
+    @pytest.mark.parametrize("shots, seed, message", [
+        (3.5, 7, r"^shots must be an integer, got 3\.5$"),
+        (3, 7.2, r"^seed must be an integer, got 7\.2$"),
+    ])
+    def test_non_integer_shots_and_seed_rejected(self, shots, seed, message):
+        with pytest.raises(ValueError, match=message):
+            hadamard_test(MIRROR, linalg.basis_ket(2, 0), "real", shots, seed)
 
     def test_mirror_expectation_zero(self):
         result = hadamard_test(MIRROR, linalg.basis_ket(2, 0), "real", 100_000, seed=7)

@@ -43,6 +43,27 @@ class TestDiagram:
         with pytest.raises(ValueError, match="empty composition"):
             PathDiagram(2, (), 0)
 
+    @pytest.mark.parametrize("layers, error, message", [
+        ((np.eye(2), np.eye(2), np.eye(3)), ValueError, r"layer 2 has shape \(3, 3\), expected \(2, 2\)"),
+        ((np.eye(2), np.ones((2, 2, 2))), linalg.ShapeError, r"expected a non-empty 2-D matrix, got shape \(2, 2, 2\)"),
+        ((np.ones((1, 2, 2)),), linalg.ShapeError, r"expected a non-empty 2-D matrix, got shape \(1, 2, 2\)"),
+        ((np.eye(2), np.diag([1, np.nan]), np.eye(3)), ValueError, "matrix entries must be finite"),
+        ((np.eye(3), np.diag([1, np.inf])), ValueError, r"layer 0 has shape \(3, 3\), expected \(2, 2\)"),
+        ((np.eye(2), np.diag([1, np.inf])), ValueError, "matrix entries must be finite"),
+    ], ids=["later-mis-shaped", "3-D", "3-D-stacked", "non-finite-first", "mis-shaped-first", "non-finite"])
+    def test_the_first_bad_layer_is_named(self, layers, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            PathDiagram(2, layers, 0)
+
+    def test_layers_are_read_only_views_of_one_copy(self):
+        layers = [np.eye(2, dtype=complex), np.array([[0, 1j], [1, 0]])]
+        pd = PathDiagram(2, tuple(layers), 0)
+        layers[1][0, 1] = 5
+        assert pd.layers[1][0, 1] == 1j
+        assert pd.layers[0].base is pd.layers[1].base
+        with pytest.raises(ValueError):
+            pd.layers[1].setflags(write=True)
+
 
 @pytest.mark.parametrize("name, call", [
     ("enumerate_paths", lambda pd: enumerate_paths(pd)),
@@ -420,6 +441,19 @@ class TestColumnSums:
         pd = PathDiagram(d, layers, FREE, output)
         with mock.patch.object(pathsum, "_BLOCK", block), np.errstate(over="ignore", invalid="ignore"):
             assert exact(pathsum._column_sums(pd)) == exact(per_input_sums(pd))
+
+    @pytest.mark.parametrize("block", [1, 4, 2**14])
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_free_free_pass_equals_the_scalar_sums_property(self, block, data):
+        # One pass over every input and output gives each amplitude's scalar sum over every path.
+        d = data.draw(st.integers(1, 4), label="d")
+        L = data.draw(st.integers(1, 6), label="L")
+        layers = tuple(data.draw(column_layer(d), label=f"layer {t}") for t in range(L))
+        pd = PathDiagram(d, layers, FREE)
+        with mock.patch.object(pathsum, "_BLOCK", block), np.errstate(over="ignore", invalid="ignore"):
+            expected = [oracle_sum(pathsum._pinned(pd, input=i), j) for i in range(d) for j in range(d)]
+            assert exact(pathsum._column_sums(pd)) == exact(expected)
 
     @pytest.mark.parametrize("block", [1, 2, pathsum._BLOCK])
     def test_sums_skip_the_paths_through_zeros(self, monkeypatch, block):
