@@ -7,15 +7,17 @@ result. A self-loop on a single node is ordinary wiring and yields a trace.
 
 Networks are values: the surgery operations (``cut_edge``, ``wire``,
 ``insert_ket``, ``insert_bra``, ``add_node``) all return new networks and
-never mutate the receiver. ``Network.contract`` merges components pair by
-pair in edge-list order, summing every line the two share in one tensordot,
-and removes self-loops by a partial trace; ``brute_force_contract`` is an
-intentionally naive all-index-assignment summation kept as an independent
-oracle, sharing no code with the engine.
+never mutate the receiver. ``Network.contract`` gives every leg an integer
+id, merges components pair by pair in edge-list order, sums every line the
+two share with one transpose, reshape and ``np.dot`` (numpy's ``tensordot``
+arithmetic, bit for bit), and removes self-loops by a partial trace;
+``brute_force_contract`` is an intentionally naive all-index-assignment
+summation kept as an independent oracle, sharing no code with the engine.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 
@@ -88,13 +90,13 @@ class Tensor:
     def from_matrix(cls, m) -> "Tensor":
         """View a matrix as a gate box: legs ``("out", "in")``, data[o, i] = m[o, i]."""
         m = linalg.as_matrix(m)
-        return cls([("out", m.shape[0]), ("in", m.shape[1])], m)
+        return cls._of_checked([("out", m.shape[0]), ("in", m.shape[1])], m.copy())
 
     @classmethod
     def from_state(cls, v) -> "Tensor":
         """View a ket as a state box: one leg, ``"out"``."""
         v = linalg.as_state(v)
-        return cls([("out", v.shape[0])], v)
+        return cls._of_checked([("out", v.shape[0])], v.copy())
 
     @property
     def rank(self) -> int:
@@ -119,7 +121,7 @@ class Tensor:
 
 def _legs(legs) -> tuple[tuple[str, int], ...]:
     """``legs`` as (name, dim) pairs, checked for unique names and positive dimensions."""
-    legs = tuple((str(name), int(dim)) for name, dim in legs)
+    legs = tuple((str(name), linalg._integer("leg dimension", dim)) for name, dim in legs)
     names = [name for name, _ in legs]
     if len(set(names)) != len(names):
         raise NetworkError(f"duplicate leg names in {names}")
@@ -169,25 +171,27 @@ class Network:
         return self.nodes[node].leg_dim(leg)
 
     def _validate(self) -> None:
-        seen: dict[EndPoint, int] = {}
+        # One (node, leg) -> dim table; a miss goes to ``_dim_of`` only to
+        # raise its message (dimensions are positive, so ``or`` never skips one).
+        dims = {(node_id, leg): dim for node_id, t in self.nodes.items() for leg, dim in t.legs}
         for p, q in self.edges:
-            if self._dim_of(p) != self._dim_of(q):
+            dp, dq = dims.get(p) or self._dim_of(p), dims.get(q) or self._dim_of(q)
+            if dp != dq:
                 raise NetworkError(
-                    f"edge endpoints {_fmt_endpoint(p)} (dim {self._dim_of(p)}) and "
-                    f"{_fmt_endpoint(q)} (dim {self._dim_of(q)}) have different dimensions"
+                    f"edge endpoints {_fmt_endpoint(p)} (dim {dp}) and "
+                    f"{_fmt_endpoint(q)} (dim {dq}) have different dimensions"
                 )
-            for end in (p, q):
-                seen[end] = seen.get(end, 0) + 1
         for p in self.free_legs:
-            self._dim_of(p)
-            seen[p] = seen.get(p, 0) + 1
-        for point, count in seen.items():
-            if count > 1:
-                raise NetworkError(f"leg {_fmt_endpoint(point)} is wired more than once")
-        for node_id, tensor in self.nodes.items():
-            for leg_name, _ in tensor.legs:
-                if (node_id, leg_name) not in seen:
-                    raise NetworkError(f"dangling leg {_fmt_endpoint((node_id, leg_name))}")
+            if p not in dims:
+                self._dim_of(p)
+        wired = [p for edge in self.edges for p in edge] + self.free_legs
+        distinct = set(wired)
+        if len(distinct) != len(wired):
+            point = next(p for p, count in collections.Counter(wired).items() if count > 1)
+            raise NetworkError(f"leg {_fmt_endpoint(point)} is wired more than once")
+        if len(distinct) != len(dims):
+            point = next(p for p in dims if p not in distinct)
+            raise NetworkError(f"dangling leg {_fmt_endpoint(point)}")
 
     # -- contraction -------------------------------------------------------
 
@@ -195,9 +199,10 @@ class Network:
         """Contract the network to a tensor over the free legs, in their order.
 
         Eliminates components pair by pair: when a scheduled edge joins two
-        components, every line between them goes in one tensordot, and edges
-        already eliminated that way are skipped when their turn comes.
-        Self-loops on a single node are removed by a partial trace.
+        components, every line between them is summed in one merge (the
+        transpose, reshape and ``np.dot`` that numpy's ``tensordot`` makes),
+        and edges already eliminated that way are skipped when their turn
+        comes. Self-loops on a single node are removed by a partial trace.
         Disconnected remainders are combined by an outer product. ``order``
         optionally gives a permutation of edge indices to process; any
         permutation yields the same result up to float reassociation. A
@@ -206,72 +211,83 @@ class Network:
         key ``qpath contract`` prints for it (``-`` for a scalar).
         """
         if order is None:
-            schedule = list(self.edges)
+            schedule = range(len(self.edges))
         else:
-            order = [int(i) for i in order]
-            if sorted(order) != list(range(len(self.edges))):
+            schedule = [linalg._integer("order entry", i) for i in order]
+            if sorted(schedule) != list(range(len(self.edges))):
                 raise ValueError("order must be a permutation of edge indices")
-            schedule = [self.edges[i] for i in order]
 
-        # Working components: id -> (array, axis labels); every original node
-        # starts as its own component. A label stays in ``owner`` until its
-        # edge is eliminated.
-        comp: dict[str, tuple[np.ndarray, list[EndPoint]]] = {}
-        owner: dict[EndPoint, str] = {}
-        for node_id, tensor in self.nodes.items():
-            labels = [(node_id, leg_name) for leg_name, _ in tensor.legs]
-            comp[node_id] = (np.asarray(tensor.data), labels)
-            for label in labels:
-                owner[label] = node_id
-        partner: dict[EndPoint, EndPoint] = {}
-        for p, q in self.edges:
+        # Every (node, leg) gets an integer id, in node then leg order. Every
+        # node starts as its own component: key -> (array, axis ids).
+        # ``owner[i]`` is the key of the component holding axis i, or -1 once
+        # its line is eliminated; ``partner[i]`` is the id across i's edge, or
+        # -1 for a free leg, which reads the trailing ``owner`` entry, -1.
+        ids: dict[EndPoint, int] = {}
+        comp: dict[int, tuple[np.ndarray, list[int]]] = {}
+        owner: list[int] = []
+        for key, (node_id, tensor) in enumerate(self.nodes.items()):
+            axes = list(range(len(owner), len(owner) + len(tensor.legs)))
+            for leg_name, _ in tensor.legs:
+                ids[(node_id, leg_name)] = len(owner)
+                owner.append(key)
+            comp[key] = (tensor.data, axes)
+        partner = [-1] * len(owner)
+        owner.append(-1)
+        lines = [(ids[p], ids[q]) for p, q in self.edges]
+        for p, q in lines:
             partner[p], partner[q] = q, p
 
-        for p, q in schedule:
-            if p not in owner:
-                continue
+        for e in schedule:
+            p, q = lines[e]
             cp, cq = owner[p], owner[q]
+            if cp < 0:
+                continue
             if cp == cq:
-                arr, labels = comp[cp]
-                i, j = labels.index(p), labels.index(q)
+                arr, axes = comp[cp]
+                i, j = axes.index(p), axes.index(q)
                 arr = np.trace(arr, axis1=i, axis2=j)
-                labels = [lab for k, lab in enumerate(labels) if k not in (i, j)]
-                comp[cp] = (arr, labels)
-                del owner[p], owner[q]
+                comp[cp] = (arr, [x for x in axes if x != p and x != q])
+                owner[p] = owner[q] = -1
                 continue
             a, la = comp[cp]
             b, lb = comp[cq]
-            # Every line between the two components, found from the smaller.
+            # Every line between the two components, found from the smaller
+            # in its axis order: that order is the order the dot sums in.
             flip = len(lb) < len(la)
             small, big, other = (lb, la, cp) if flip else (la, lb, cq)
-            pos = {lab: k for k, lab in enumerate(big)}
-            ks = [k for k, lab in enumerate(small) if owner.get(partner.get(lab)) == other]
-            ms = [pos[partner[small[k]]] for k in ks]
+            ks = [k for k, x in enumerate(small) if owner[partner[x]] == other]
+            ms = [big.index(partner[small[k]]) for k in ks]
             ia, ib = (ms, ks) if flip else (ks, ms)
             for k in ks:
-                del owner[small[k]], owner[partner[small[k]]]
-            arr = np.tensordot(a, b, axes=(ia, ib))
-            rest_b = [lab for lab in lb if lab in owner]
-            comp[cp] = (arr, [lab for lab in la if lab in owner] + rest_b)
-            for label in rest_b:
-                owner[label] = cp
+                owner[small[k]] = owner[partner[small[k]]] = -1
+            keep_a = [k for k, x in enumerate(la) if owner[x] >= 0]
+            keep_b = [k for k, x in enumerate(lb) if owner[x] >= 0]
+            at = a.transpose(keep_a + ia)
+            bt = b.transpose(ib + keep_b)
+            n = math.prod(bt.shape[: len(ib)])
+            arr = np.dot(at.reshape(-1, n), bt.reshape(n, -1))
+            arr = arr.reshape(at.shape[: len(keep_a)] + bt.shape[len(ib) :])
+            rest_b = [lb[k] for k in keep_b]
+            comp[cp] = (arr, [la[k] for k in keep_a] + rest_b)
+            for x in rest_b:
+                owner[x] = cp
             del comp[cq]
 
         # Outer product of whatever components remain (disconnected pieces).
         arr = np.ones((), dtype=complex)
-        labels: list[EndPoint] = []
-        for part, part_labels in comp.values():
+        axes = []
+        for part, part_axes in comp.values():
             arr = np.multiply.outer(arr, part)
-            labels = labels + part_labels
+            axes = axes + part_axes
 
-        perm = [labels.index(p) for p in self.free_legs]
+        perm = [axes.index(ids[p]) for p in self.free_legs]
         out = np.transpose(arr, perm) if perm else arr
         if not out.flags.c_contiguous:
             out = out.copy()
         if not np.isfinite(out).all():
             idx = tuple(np.argwhere(~np.isfinite(out))[0].tolist())
             raise NetworkError(_overflow(f"entry {_entry_key(idx)}", ("contraction", out[idx])))
-        out_legs = [(f"{node}.{leg}", self._dim_of((node, leg))) for node, leg in self.free_legs]
+        out_legs = [(f"{node}.{leg}", dim) for (node, leg), dim in zip(self.free_legs, out.shape)]
         return Tensor._of_checked(out_legs, out)
 
     # -- graph surgery -----------------------------------------------------

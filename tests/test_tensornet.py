@@ -71,6 +71,15 @@ def random_network(rng, max_nodes=5, max_dim=3, max_total_legs=8):
     return Network(nodes, edges, free)
 
 
+def two_node_ring():
+    """``A.out -- B.in`` and ``B.out -- A.in``: two edges, no free legs."""
+    rng = np.random.default_rng(23)
+    return Network(
+        {"A": Tensor.from_matrix(random_matrix(rng, 2)), "B": Tensor.from_matrix(random_matrix(rng, 2))},
+        edges=[(("A", "out"), ("B", "in")), (("B", "out"), ("A", "in"))],
+    )
+
+
 def torus(rng, rows, cols):
     """A closed rows x cols torus of rank-4 d=2 tensors in row-major edge order.
 
@@ -132,6 +141,45 @@ class TestTensor:
         with pytest.raises(ValueError):
             t.data[0] = 5
 
+    @pytest.mark.parametrize("dim", [2.7, 2.0, "2"], ids=["fraction", "integral-float", "str"])
+    def test_non_integer_leg_dimension_rejected(self, dim):
+        with pytest.raises(ValueError, match=rf"^leg dimension must be an integer, got {dim}$"):
+            Tensor([("a", dim)], [1, 2])
+
+    @pytest.mark.parametrize("dim", [np.int64(2), np.int32(2), np.uint8(2)])
+    def test_numpy_integer_leg_dimensions_pass(self, dim):
+        t = Tensor([("a", dim)], [1, 2])
+        assert t.legs == (("a", 2),) and type(t.legs[0][1]) is int
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda a: np.asfortranarray(a), lambda a: a],
+        ids=["f-ordered", "caller-owned"],
+    )
+    def test_from_matrix_copies_into_a_read_only_c_array(self, make):
+        m = make(random_matrix(np.random.default_rng(20), 3))
+        t = Tensor.from_matrix(m)
+        assert t.data.flags.c_contiguous and not t.data.flags.writeable
+        assert not np.shares_memory(t.data, m) and m.flags.writeable
+        assert t.data.tobytes() == np.ascontiguousarray(m).tobytes()
+        m[0, 0] = 7
+        assert t.data[0, 0] != 7
+
+    def test_from_state_copies_into_a_read_only_array(self):
+        v = random_state(np.random.default_rng(21), 3)
+        t = Tensor.from_state(v)
+        assert not t.data.flags.writeable and not np.shares_memory(t.data, v)
+        assert t.legs == (("out", 3),) and np.array_equal(t.data, v)
+
+    def test_from_matrix_checks_finiteness_once(self, monkeypatch):
+        # as_matrix checks the entries; the Tensor around its array does not check again.
+        m = random_matrix(np.random.default_rng(22), 2)
+        isfinite = np.isfinite
+        calls = []
+        monkeypatch.setattr(np, "isfinite", lambda a: calls.append(a.shape) or isfinite(a))
+        Tensor.from_matrix(m)
+        assert calls == [(2, 2)]
+
 
 class TestInvariants:
     def test_dangling_leg_named(self):
@@ -153,6 +201,36 @@ class TestInvariants:
         b = Tensor.from_state(np.ones(3))
         with pytest.raises(NetworkError, match="different dimensions"):
             Network({"a": a, "b": b}, edges=[(("a", "out"), ("b", "out"))])
+
+    def test_unknown_node_named(self):
+        m = Tensor.from_matrix(np.eye(2))
+        with pytest.raises(NetworkError, match=r"^endpoint X\.in references unknown node 'X'$"):
+            Network({"M": m}, edges=[(("M", "out"), ("X", "in"))], free_legs=[("M", "in")])
+
+    def test_unknown_leg_named(self):
+        m = Tensor.from_matrix(np.eye(2))
+        with pytest.raises(NetworkError, match=r"^tensor has no leg named 'side'$"):
+            Network({"M": m}, edges=[(("M", "out"), ("M", "in"))], free_legs=[("M", "side")])
+
+    def test_unknown_endpoint_named_before_a_later_dangling_leg(self):
+        # M.in is dangling and N is unknown; the edge check comes first.
+        m = Tensor.from_matrix(np.eye(2))
+        with pytest.raises(NetworkError, match=r"references unknown node 'N'"):
+            Network({"M": m}, edges=[(("N", "in"), ("M", "out"))])
+
+    def test_dim_mismatch_named_before_a_later_dangling_leg_and_double_wiring(self):
+        a = Tensor.from_matrix(np.eye(2))
+        b = Tensor.from_matrix(np.eye(3))
+        with pytest.raises(
+            NetworkError,
+            match=r"^edge endpoints a\.out \(dim 2\) and b\.in \(dim 3\) have different dimensions$",
+        ):
+            Network({"a": a, "b": b}, edges=[(("a", "out"), ("b", "in"))], free_legs=[("a", "out")])
+
+    def test_first_wired_leg_named_among_several_wired_twice(self):
+        m = Tensor.from_matrix(np.eye(2))
+        with pytest.raises(NetworkError, match=r"^leg M\.out is wired more than once$"):
+            Network({"M": m}, edges=[(("M", "out"), ("M", "in"))], free_legs=[("M", "in"), ("M", "out")])
 
 
 class TestContract:
@@ -298,8 +376,51 @@ class TestContract:
 
     def test_bad_order_rejected(self):
         net = trace_network(np.eye(2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^order must be a permutation of edge indices$"):
             net.contract(order=[0, 0])
+
+    @pytest.mark.parametrize("order", [[1], [], [0, 1, 2]])
+    def test_order_not_a_permutation_named(self, order):
+        net = two_node_ring()
+        with pytest.raises(ValueError, match=r"^order must be a permutation of edge indices$"):
+            net.contract(order=order)
+
+    @pytest.mark.parametrize("entry", [0.7, 1.0, "1"], ids=["fraction", "integral-float", "str"])
+    def test_non_integer_order_entry_rejected(self, entry):
+        with pytest.raises(ValueError, match=rf"^order entry must be an integer, got {entry}$"):
+            two_node_ring().contract(order=[entry, 0])
+
+    def test_numpy_integer_order_entries_pass(self):
+        net = two_node_ring()
+        for order in ([np.int64(1), np.int32(0)], np.array([1, 0])):
+            assert net.contract(order=order).item() == net.contract(order=[1, 0]).item()
+
+    @settings(max_examples=80)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_two_components_equal_tensordot_bit_for_bit(self, seed, data):
+        # Shared lines are summed in the smaller component's axis order, as one tensordot.
+        rng = np.random.default_rng(seed)
+        rank_a, rank_b = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        n_shared = data.draw(st.integers(1, min(3, rank_a, rank_b)))
+        on_a = data.draw(st.permutations(range(rank_a)))[:n_shared]
+        on_b = data.draw(st.permutations(range(rank_b)))[:n_shared]
+        dims_a = [int(rng.integers(1, 4)) for _ in range(rank_a)]
+        dims_b = [int(rng.integers(1, 4)) for _ in range(rank_b)]
+        for x, y in zip(on_a, on_b):
+            dims_b[y] = dims_a[x]
+        a = Tensor([(f"a{k}", d) for k, d in enumerate(dims_a)], random_array(rng, dims_a))
+        b = Tensor([(f"b{k}", d) for k, d in enumerate(dims_b)], random_array(rng, dims_b))
+        lines = data.draw(st.permutations(list(zip(on_a, on_b))), label="edge order")
+        net = Network(
+            {"A": a, "B": b},
+            edges=[(("A", f"a{x}"), ("B", f"b{y}")) for x, y in lines],
+            free_legs=[("A", f"a{k}") for k in range(rank_a) if k not in on_a]
+            + [("B", f"b{k}") for k in range(rank_b) if k not in on_b],
+        )
+        pairs = sorted(lines, key=lambda xy: xy[1] if rank_b < rank_a else xy[0])
+        axes = ([x for x, _ in pairs], [y for _, y in pairs])
+        expected = np.tensordot(a.data, b.data, axes)
+        assert net.contract().data.tobytes() == expected.tobytes()
 
 
 class TestCutEdge:
