@@ -11,17 +11,19 @@ Grammar, one declaration per line, ``#`` starts a comment:
     free <id>.<leg>
 
 Complex literals are ``a``, ``bi``, ``a+bi``, ``a-bi``; reals are decimals
-(scientific notation allowed) or the shorthand ``1/sqrt2``, which parses to
-the double closest to 0.7071067811865476. A literal beyond the double range
-(``1e999``) is an error, not an infinity. Gate nodes expose legs ``in`` and
-``out``; state nodes expose ``out``. Circuit tokens are listed in time
-order: the first gate acts first. Every referenced name must be declared on
-an earlier line, names are unique per kind, and a document has at most one
-``dim``, which must precede anything that needs it.
+(scientific notation allowed), read by ``float``, or ``1/sqrt2``, the one
+literal ``float`` does not read; it parses to the double closest to
+0.7071067811865476. A literal beyond the double range (``1e999``) is an
+error, not an infinity. Gate nodes expose legs ``in`` and ``out``; state
+nodes expose ``out``. Circuit tokens are listed in time order: the first
+gate acts first. Every referenced name must be declared on an earlier line,
+names are unique per kind, and a document has at most one ``dim``, which
+must precede anything that needs it.
 
-Each line goes through one rule, chosen by its first word from ``_RULES``:
-a pattern for the rest of the line and a handler that checks the match
-against the declarations before it and records the result.
+Each declaration kind has one rule in ``_RULES``, chosen by a line's first
+word: a pattern for the rest of the line, a handler that checks the match
+against the declarations before it and records the result, and the printed
+form of the kind's declarations, which ``pretty_print`` writes.
 
 Parsing is total: it never raises on text input. On failure the result
 carries every diagnostic found, each with a 1-based line and column, and no
@@ -64,14 +66,9 @@ _LEGS = {"gate": ("in", "out"), "state": ("out",)}
 
 
 def _real_value(token: str) -> float:
-    sign = 1.0
-    if token and token[0] in "+-":
-        if token[0] == "-":
-            sign = -1.0
-        token = token[1:]
-    if token == "1/sqrt2":
-        return sign * _SQRT1_2
-    return sign * float(token)
+    if token.endswith("1/sqrt2"):
+        return -_SQRT1_2 if token.startswith("-") else _SQRT1_2
+    return float(token)
 
 
 def parse_complex_literal(token: str) -> complex | None:
@@ -199,7 +196,7 @@ class _Parser:
         if kind not in _RULES:
             self.error(f"unknown declaration kind '{kind}'", col)
             return
-        pattern, handler = _RULES[kind]
+        pattern, handler, _ = _RULES[kind]
         m = pattern.fullmatch(line, head.end())
         if m is None:
             self.error(f"malformed `{kind}` declaration", col)
@@ -404,18 +401,29 @@ class _Parser:
         return rows
 
 
-# Each pattern matches what follows the kind word on a comment-free line.
+def _vector(values) -> str:
+    return "[" + ", ".join(format_complex(v) for v in values) + "]"
+
+
+# Per kind: the pattern for the rest of a comment-free line, the handler, the printer.
 _RULES = {
-    "dim": (re.compile(r"\s+(?P<val>\S+)\s*"), _Parser.parse_dim),
-    "gate": (_RE_NAMED, _Parser.parse_gate),
-    "state": (_RE_NAMED, _Parser.parse_state),
-    "circuit": (_RE_NAMED, _Parser.parse_circuit),
-    "node": (re.compile(rf"\s+(?P<name>{_NAME})\s*:\s*(?P<ref>{_NAME})\s*"), _Parser.parse_node),
+    "dim": (re.compile(r"\s+(?P<val>\S+)\s*"), _Parser.parse_dim,
+            lambda decl: f"dim {decl.payload}"),
+    "gate": (_RE_NAMED, _Parser.parse_gate,
+             lambda decl: f"gate {decl.name} = [{', '.join(map(_vector, decl.payload))}]"),
+    "state": (_RE_NAMED, _Parser.parse_state,
+              lambda decl: f"state {decl.name} = {_vector(decl.payload)}"),
+    "circuit": (_RE_NAMED, _Parser.parse_circuit,
+                lambda decl: f"circuit {decl.name} = " + " ".join(decl.payload)),
+    "node": (re.compile(rf"\s+(?P<name>{_NAME})\s*:\s*(?P<ref>{_NAME})\s*"), _Parser.parse_node,
+             lambda decl: f"node {decl.name} : {decl.payload[1]}"),
     "edge": (
         re.compile(rf"\s+(?P<a>{_NAME})\.(?P<x>{_NAME})\s*->\s*(?P<b>{_NAME})\.(?P<y>{_NAME})\s*"),
         _Parser.parse_edge,
+        lambda decl: "edge {}.{} -> {}.{}".format(*decl.payload[0], *decl.payload[1]),
     ),
-    "free": (re.compile(rf"\s+(?P<a>{_NAME})\.(?P<x>{_NAME})\s*"), _Parser.parse_free),
+    "free": (re.compile(rf"\s+(?P<a>{_NAME})\.(?P<x>{_NAME})\s*"), _Parser.parse_free,
+             lambda decl: "free {}.{}".format(*decl.payload)),
 }
 
 
@@ -439,34 +447,11 @@ def parse_bytes(data: bytes) -> ParseResult:
     return parse(text)
 
 
-def _render_declaration(decl: Declaration) -> str:
-    if decl.kind == "dim":
-        return f"dim {decl.payload}"
-    if decl.kind == "gate":
-        matrix = decl.payload
-        rows = ", ".join(
-            "[" + ", ".join(format_complex(v) for v in row) + "]" for row in matrix
-        )
-        return f"gate {decl.name} = [{rows}]"
-    if decl.kind == "state":
-        vec = ", ".join(format_complex(v) for v in decl.payload)
-        return f"state {decl.name} = [{vec}]"
-    if decl.kind == "circuit":
-        return f"circuit {decl.name} = " + " ".join(decl.payload)
-    if decl.kind == "node":
-        _, ref = decl.payload
-        return f"node {decl.name} : {ref}"
-    if decl.kind == "edge":
-        (a, x), (b, y) = decl.payload
-        return f"edge {a}.{x} -> {b}.{y}"
-    if decl.kind == "free":
-        a, x = decl.payload
-        return f"free {a}.{x}"
-    raise ValueError(f"unknown declaration kind {decl.kind!r}")
-
-
 def pretty_print(doc: Document) -> str:
     """Canonical text for a document; reparses to a structurally identical one."""
-    return "\n".join(_render_declaration(d) for d in doc.declarations) + (
-        "\n" if doc.declarations else ""
-    )
+    lines = []
+    for decl in doc.declarations:
+        if decl.kind not in _RULES:
+            raise ValueError(f"unknown declaration kind {decl.kind!r}")
+        lines.append(_RULES[decl.kind][2](decl) + "\n")
+    return "".join(lines)

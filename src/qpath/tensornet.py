@@ -342,16 +342,15 @@ class Network:
         free_leg = (str(free_leg[0]), str(free_leg[1]))
         if free_leg not in self.free_legs:
             raise NetworkError(f"leg {_fmt_endpoint(free_leg)} is not free")
-        amplitudes = linalg.as_state(amplitudes)
-        want = self._dim_of(free_leg)
-        if amplitudes.shape[0] != want:
+        node = Tensor.from_state(amplitudes)
+        have, want = node.leg_dim("out"), self._dim_of(free_leg)
+        if have != want:
             raise NetworkError(
-                f"dimension mismatch: state has dim {amplitudes.shape[0]}, "
+                f"dimension mismatch: state has dim {have}, "
                 f"leg {_fmt_endpoint(free_leg)} has dim {want}"
             )
         node_id = self._fresh_id(prefix)
-        grown = self.add_node(node_id, Tensor.from_state(amplitudes))
-        return grown.wire((node_id, "out"), free_leg)
+        return self.add_node(node_id, node).wire((node_id, "out"), free_leg)
 
     def insert_ket(self, free_leg, state) -> "Network":
         """Tie a ket into a free leg: a rank-1 node holding the amplitudes."""

@@ -149,6 +149,36 @@ class TestDiagnostics:
         result = dsl.parse(base + "edge n.top -> n.in\n")
         assert any("unknown leg 'top' for gate node 'n'" in m for m in messages(result))
 
+    def test_duplicate_state_and_node_are_positioned_at_the_name(self):
+        result = dsl.parse("dim 2\nstate s = [1, 0]\nstate s = [0, 1]\n")
+        assert [(d.message, d.line, d.column) for d in result.diagnostics] == [
+            ("duplicate declaration of state 's'", 3, 7)
+        ]
+        src = "dim 2\ngate G = [[1,0],[0,1]]\nnode a : G\nnode a : G\nedge a.out -> a.in\n"
+        assert [(d.message, d.line, d.column) for d in dsl.parse(src).diagnostics] == [
+            ("duplicate declaration of node 'a'", 4, 6)
+        ]
+
+    def test_unknown_far_node_releases_the_near_leg(self):
+        src = "dim 2\ngate G = [[1,0],[0,1]]\nnode a : G\nedge a.out -> b.in\nedge a.out -> a.in\n"
+        assert [(d.message, d.line, d.column) for d in dsl.parse(src).diagnostics] == [
+            ("unknown node 'b'", 4, 15)
+        ]
+
+    @pytest.mark.parametrize(
+        "body,column", [("[[1,0],[0,1]]]", 22), ("[[1,0],[0,1]", 10)]
+    )
+    def test_unbalanced_brackets(self, body, column):
+        result = dsl.parse(f"dim 2\ngate G = {body}\n")
+        assert [(d.message, d.line, d.column) for d in result.diagnostics] == [
+            ("malformed bracketed literal", 2, column)
+        ]
+
+    def test_empty_gate_is_a_dimension_mismatch(self):
+        assert messages(dsl.parse("dim 2\ngate G = []\n")) == [
+            "dimension mismatch: gate 'G' must be 2x2, got 0x0"
+        ]
+
     def test_failure_returns_no_partial_document(self):
         result = dsl.parse("dim 2\ngate G = [[1,0],[0,1]]\ngate B = [[bad]]\n")
         assert result.document is None
@@ -185,10 +215,17 @@ class TestComplexLiterals:
             ("-1/sqrt2", -0.7071067811865476 + 0j),
             ("0.5+1/sqrt2i", 0.5 + 0.7071067811865476j),
             ("1e2+1e-2i", 100 + 0.01j),
+            ("+1/sqrt2", 0.7071067811865476 + 0j),
+            ("-1/sqrt2i", -0.7071067811865476j),
+            ("1/sqrt2-1/sqrt2i", 0.7071067811865476 - 0.7071067811865476j),
         ],
     )
     def test_valid(self, token, value):
         assert dsl.parse_complex_literal(token) == value
+
+    def test_negative_zero_keeps_its_sign(self):
+        assert math.copysign(1.0, dsl.parse_complex_literal("-0").real) == -1.0
+        assert math.copysign(1.0, dsl.parse_complex_literal("0").real) == 1.0
 
     @pytest.mark.parametrize("token", ["", "x", "1..2", "+", "1+", "i2", "1/sqrt3", "--1", "1 2"])
     def test_malformed(self, token):
@@ -218,6 +255,11 @@ class TestRoundTrip:
         second = dsl.parse(printed).document
         assert documents_match(first, second)
         assert dsl.pretty_print(second) == printed
+
+    def test_unknown_declaration_kind_is_a_value_error(self):
+        doc = dsl.Document(declarations=[dsl.Declaration("bogus", None, None, 1, 1)])
+        with pytest.raises(ValueError, match=r"^unknown declaration kind 'bogus'$"):
+            dsl.pretty_print(doc)
 
     def test_complex_formatting_reparses(self):
         rng = np.random.default_rng(0)

@@ -295,6 +295,17 @@ class TestStates:
         with pytest.raises(ValueError):
             linalg.as_state(np.array([np.inf, 0]))
 
+    def test_state_must_be_one_dimensional(self):
+        with pytest.raises(linalg.ShapeError, match=r"got shape \(2, 2\)$"):
+            linalg.as_state(np.eye(2))
+
+    def test_identity_of_dimension_zero_rejected(self):
+        with pytest.raises(ValueError, match=r"^dimension must be positive, got 0$"):
+            linalg.identity(0)
+
+    def test_max_abs_diff_of_empty_arrays_is_zero(self):
+        assert linalg.max_abs_diff(np.zeros(0), np.zeros(0)) == 0.0
+
 
 def test_equality_is_tolerance_based():
     a = np.eye(2)

@@ -169,6 +169,12 @@ class TestSample:
     def test_record_invariant(self):
         with pytest.raises(ValueError, match="sum to shots"):
             MeasurementRecord(shots=5, counts=(1, 1), probabilities=(0.5, 0.5), seed=0)
+        with pytest.raises(ValueError, match=r"^probabilities must sum to 1 within 1e-09$"):
+            MeasurementRecord(shots=2, counts=(1, 1), probabilities=(0.5, 0.5 + 1e-6), seed=0)
+
+    def test_two_dimensional_vector_rejected(self):
+        with pytest.raises(ValueError, match=r"^expected a 1-D probability vector, got shape \(2, 2\)$"):
+            sample(np.eye(2) / 2, 10, seed=0)
 
 
 class TestControlled:

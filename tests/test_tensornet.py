@@ -171,6 +171,14 @@ class TestTensor:
         assert not t.data.flags.writeable and not np.shares_memory(t.data, v)
         assert t.legs == (("out", 3),) and np.array_equal(t.data, v)
 
+    def test_zero_leg_dimension_rejected(self):
+        with pytest.raises(NetworkError, match=r"^leg dimensions must be positive, got \(0,\)$"):
+            Tensor([("a", 0)], [])
+
+    def test_network_node_must_be_a_tensor(self):
+        with pytest.raises(NetworkError, match=r"^node 'M' is not a Tensor$"):
+            Network({"M": np.eye(2)})
+
     def test_from_matrix_checks_finiteness_once(self, monkeypatch):
         # as_matrix checks the entries; the Tensor around its array does not check again.
         m = random_matrix(np.random.default_rng(22), 2)
@@ -481,6 +489,15 @@ class TestCutEdge:
         assert abs(bridged.contract().item() - original) <= 1e-10
         assert abs(brute_force_contract(bridged).item() - original) <= 1e-10
 
+    def test_surgery_errors(self):
+        cut = trace_network(np.eye(2)).cut_edge((("M", "out"), ("M", "in")))
+        with pytest.raises(NetworkError, match=r"^leg M\.in is not free$"):
+            cut.insert_ket(("M", "in"), [1, 0]).wire(("M", "out"), ("M", "in"))
+        with pytest.raises(NetworkError, match=r"^cannot wire leg M\.out to itself$"):
+            cut.wire(("M", "out"), ("M", "out"))
+        with pytest.raises(NetworkError, match=r"^node id 'M' already exists$"):
+            cut.add_node("M", Tensor.from_state([1, 0]))
+
 
 class TestInsert:
     def test_insert_ket_applies_matrix(self):
@@ -524,6 +541,30 @@ class TestInsert:
         wired = cut.insert_ket(("M", "in"), np.ones(2))
         with pytest.raises(NetworkError, match="is not free"):
             wired.insert_ket(("M", "in"), np.ones(2))
+
+    def test_second_ket_gets_the_next_id(self):
+        net = Network({"M": Tensor.from_matrix(np.eye(2))}, free_legs=[("M", "out"), ("M", "in")])
+        twice = net.insert_ket(("M", "in"), [1, 0]).insert_ket(("M", "out"), [0, 1])
+        assert sorted(twice.nodes) == ["M", "ket0", "ket1"]
+        assert twice.edges[-1] == (("ket1", "out"), ("M", "out"))
+
+    def test_inserts_check_the_state_once(self, monkeypatch):
+        # insert_bra checks the state it conjugates; the node is built from it once.
+        cut = trace_network(np.eye(2)).cut_edge((("M", "out"), ("M", "in")))
+        as_state = linalg.as_state
+        calls = []
+        monkeypatch.setattr(linalg, "as_state", lambda v: calls.append("check") or as_state(v))
+        ket = cut.insert_ket(("M", "in"), [1, 0])
+        assert len(calls) == 1
+        ket.insert_bra(("M", "out"), [1, 0])
+        assert len(calls) == 3
+
+    def test_ket_checks_the_leg_first_and_bra_the_state(self):
+        cut = trace_network(np.eye(2)).cut_edge((("M", "out"), ("M", "in")))
+        with pytest.raises(NetworkError, match=r"^leg M\.up is not free$"):
+            cut.insert_ket(("M", "up"), [[1, 0]])
+        with pytest.raises(linalg.ShapeError, match="1-D state vector"):
+            cut.insert_bra(("M", "up"), [[1, 0]])
 
 
 class TestDensityRoute:
