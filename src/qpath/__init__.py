@@ -7,64 +7,10 @@ A small text format (.qpd) declares gates, states, circuits, and networks,
 and the ``qpath`` command evaluates, samples, verifies, and renders them.
 """
 
-from .linalg import (
-    NORM_TOL,
-    ShapeError,
-    basis_ket,
-    dagger,
-    equal_within,
-    haar_unitary,
-    identity,
-    inner_product,
-    is_normalized,
-    is_unitary,
-    ket_bra,
-    matmul,
-    max_abs_diff,
-    norm,
-    normalize,
-    tensor_product,
-    trace,
-    unitarity_deviation,
-)
-from .measure import (
-    HADAMARD,
-    MIRROR,
-    PHASE_NEG_I,
-    HadamardTestResult,
-    MeasurementRecord,
-    TeleportCheck,
-    born_probabilities,
-    controlled,
-    cup_cap_network,
-    general_measure,
-    hadamard_test,
-    sample,
-    teleport_check,
-)
-from .pathsum import (
-    DEFAULT_PATH_CAP,
-    FREE,
-    InterferenceReport,
-    LabDiagram,
-    Path,
-    PathCapExceeded,
-    PathDiagram,
-    composition_matrix,
-    emit_lab_diagram,
-    enumerate_paths,
-    interference_report,
-    path_sum_amplitude,
-    to_dot,
-)
-from .tensornet import (
-    Network,
-    NetworkError,
-    Tensor,
-    amplitude_via_density,
-    brute_force_contract,
-    trace_network,
-)
-from .dsl import Diagnostic, Document, ParseResult, parse, parse_bytes, pretty_print
+from .linalg import *
+from .measure import *
+from .pathsum import *
+from .tensornet import *
+from .dsl import *
 
 __version__ = "0.1.0"

@@ -13,8 +13,8 @@ Shared checks run once, where a value enters: ``as_matrix``, ``as_state`` and
 ``as_square`` (shape, finiteness), ``_check_acts_on`` (matrix against state),
 ``_dim``, ``_index``; ``NORM_TOL`` (norms, unitarity, probability sums) and
 ``AGREE_TOL`` (two routes to one value); checked arrays go straight to numpy.
-Functions read both tolerances when called, never as a default argument;
-only ``is_unitary`` and ``equal_within`` take a tolerance, as an argument.
+Functions read both tolerances when called; no function takes a tolerance
+as an argument.
 """
 
 from __future__ import annotations
@@ -40,20 +40,13 @@ __all__ = [
     "as_state",
     "as_square",
     "matmul",
-    "dagger",
     "inner_product",
     "ket_bra",
-    "trace",
-    "tensor_product",
-    "identity",
     "basis_ket",
     "unitarity_deviation",
-    "is_unitary",
-    "norm",
     "is_normalized",
     "normalize",
     "max_abs_diff",
-    "equal_within",
     "haar_unitary",
 ]
 
@@ -130,11 +123,6 @@ def matmul(a, b) -> np.ndarray:
     return a @ b
 
 
-def dagger(m) -> np.ndarray:
-    """Conjugate transpose. Involutive and product-reversing exactly."""
-    return as_matrix(m).conj().T.copy()
-
-
 def inner_product(a, b) -> complex:
     """Complex inner product, conjugate-linear in the first argument."""
     a = as_state(a)
@@ -149,21 +137,6 @@ def ket_bra(a, b) -> np.ndarray:
     return np.outer(as_state(a), as_state(b).conj())
 
 
-def trace(m) -> complex:
-    """Sum of diagonal entries of a square matrix."""
-    return complex(np.trace(as_square(m)))
-
-
-def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product of two matrices."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
-def identity(d: int) -> np.ndarray:
-    """Complex identity matrix of dimension ``d``."""
-    return np.eye(_dim(d), dtype=complex)
-
-
 def basis_ket(d: int, i: int) -> np.ndarray:
     """Computational basis ket with a 1 at position ``i``."""
     v = np.zeros(_dim(d), dtype=complex)
@@ -176,16 +149,6 @@ def unitarity_deviation(m) -> float:
     m = as_square(m)
     delta = m.conj().T @ m - np.eye(m.shape[0])
     return float(np.max(np.abs(delta)))
-
-
-def is_unitary(m, tol: float) -> bool:
-    """True iff the max absolute entry of ``m† m - I`` is at most ``tol``."""
-    return unitarity_deviation(m) <= tol
-
-
-def norm(v) -> float:
-    """Euclidean norm of a state vector."""
-    return float(np.linalg.norm(as_state(v)))
 
 
 def is_normalized(v) -> bool:
@@ -212,11 +175,6 @@ def max_abs_diff(a, b) -> float:
     if a.size == 0:
         return 0.0
     return float(np.max(np.abs(a - b)))
-
-
-def equal_within(a, b, tol: float) -> bool:
-    """Tolerance-based equality on the max absolute entry difference."""
-    return max_abs_diff(a, b) <= tol
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,10 +1,10 @@
 """Measurement rules, seeded sampling, controlled gates, and the cup/cap check.
 
-Measurement of U|psi> returns basis index i with probability |<i|U|psi>|^2;
-the unnormalized form divides by <v|v>. Sampling is reproducible: outcomes
-are drawn with numpy's PCG64 generator seeded explicitly per call (no global
-state) through an inverse-CDF lookup with right-closed bins, so identical
-(probabilities, shots, seed) give identical records bit for bit.
+Measurement of U|psi> returns basis index i with probability |<i|U|psi>|^2.
+Sampling is reproducible: outcomes are drawn with numpy's PCG64 generator
+seeded explicitly per call (no global state) through an inverse-CDF lookup
+with right-closed bins, so identical (probabilities, shots, seed) give
+identical records bit for bit.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ __all__ = [
     "PHASE_NEG_I",
     "MeasurementRecord",
     "born_probabilities",
-    "general_measure",
     "sample",
     "controlled",
     "HadamardTestResult",
@@ -91,15 +90,6 @@ def born_probabilities(u, psi) -> np.ndarray:
     u, psi = _unitary_and_unit_state(u, psi)
     amps = u @ psi
     return np.abs(amps) ** 2
-
-
-def general_measure(v) -> np.ndarray:
-    """Outcome probabilities for an unnormalized state: p_i = |v_i|^2 / <v|v>."""
-    v = linalg.as_state(v)
-    total = float(np.vdot(v, v).real)
-    if total == 0.0:
-        raise ValueError("cannot measure the zero vector")
-    return (np.abs(v) ** 2) / total
 
 
 def sample(probabilities, shots: int, seed: int) -> MeasurementRecord:

@@ -48,8 +48,7 @@ class Tensor:
 
     Args:
         legs: ordered (name, dim) pairs, names unique within the tensor.
-        data: complex array of shape ``dims``, or flat of length ``prod(dims)``
-            laid out row-major over the legs in declared order.
+        data: complex array of shape ``dims``, one axis per leg in declared order.
     """
 
     __slots__ = ("legs", "data")
@@ -58,9 +57,6 @@ class Tensor:
         legs = _legs(legs)
         dims = tuple(dim for _, dim in legs)
         arr = np.asarray(data, dtype=complex)
-        size = math.prod(dims)
-        if arr.shape == (size,) and arr.shape != dims:
-            arr = arr.reshape(dims)
         if arr.shape != dims:
             raise NetworkError(f"data shape {arr.shape} does not match leg dims {dims}")
         if not np.all(np.isfinite(arr)):
@@ -281,7 +277,7 @@ class Network:
             axes = axes + part_axes
 
         perm = [axes.index(ids[p]) for p in self.free_legs]
-        out = np.transpose(arr, perm) if perm else arr
+        out = arr.transpose(perm)
         if not out.flags.c_contiguous:
             out = out.copy()
         if not np.isfinite(out).all():
@@ -350,7 +346,11 @@ class Network:
                 f"leg {_fmt_endpoint(free_leg)} has dim {want}"
             )
         node_id = self._fresh_id(prefix)
-        return self.add_node(node_id, node).wire((node_id, "out"), free_leg)
+        return Network(
+            {**self.nodes, node_id: node},
+            self.edges + [((node_id, "out"), free_leg)],
+            [p for p in self.free_legs if p != free_leg],
+        )
 
     def insert_ket(self, free_leg, state) -> "Network":
         """Tie a ket into a free leg: a rank-1 node holding the amplitudes."""

@@ -1,4 +1,4 @@
-"""Core linear algebra: products, adjoints, traces, tensor products, unitarity."""
+"""Core linear algebra: products, inner and outer products, unitarity, states, checks."""
 
 import inspect
 from pathlib import Path
@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qpath
 from qpath import cli, dsl, formatting, linalg, measure, pathsum, tensornet
 from qpath.measure import HADAMARD, MIRROR
 
@@ -14,19 +15,13 @@ def random_state(rng, d):
     return rng.standard_normal(d) + 1j * rng.standard_normal(d)
 
 
-def random_matrix(rng, rows, cols=None):
-    cols = rows if cols is None else cols
-    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-
-
 @pytest.mark.parametrize("takes_square", [
-    linalg.trace,
     linalg.unitarity_deviation,
     measure.controlled,
     measure.cup_cap_network,
     tensornet.trace_network,
     lambda m: tensornet.amplitude_via_density(np.ones(2), np.ones(2), m),
-], ids=["trace", "unitarity_deviation", "controlled", "cup_cap_network", "trace_network",
+], ids=["unitarity_deviation", "controlled", "cup_cap_network", "trace_network",
         "amplitude_via_density"])
 def test_square_check_has_one_error(takes_square):
     with pytest.raises(linalg.ShapeError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
@@ -60,11 +55,10 @@ def test_tolerances_are_read_when_called(monkeypatch, name, value, result, expec
 @pytest.mark.parametrize("call, message", [
     (lambda: linalg.basis_ket(2, 1.9), "basis index must be an integer, got 1.9"),
     (lambda: linalg.basis_ket(2.0, 1), "dimension must be an integer, got 2.0"),
-    (lambda: linalg.identity(2.7), "dimension must be an integer, got 2.7"),
     (lambda: pathsum.PathDiagram(2, (HADAMARD,), np.float64(0.0)), "input index must be an integer, got 0.0"),
     (lambda: pathsum.path_sum_amplitude(pathsum.PathDiagram(2, (HADAMARD,), 0), 1.2),
      "output index must be an integer, got 1.2"),
-], ids=["basis_ket index", "basis_ket dim", "identity", "PathDiagram input", "path_sum_amplitude output"])
+], ids=["basis_ket index", "basis_ket dim", "PathDiagram input", "path_sum_amplitude output"])
 def test_indices_and_dimensions_are_not_truncated(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
@@ -72,7 +66,7 @@ def test_indices_and_dimensions_are_not_truncated(call, message):
 
 def test_numpy_integers_are_indices_and_dimensions():
     assert linalg.basis_ket(np.int64(3), np.int32(1)).tolist() == [0, 1, 0]
-    assert linalg.identity(np.uint8(2)).shape == (2, 2)
+    assert linalg.basis_ket(np.uint8(2), 0).shape == (2,)
     assert pathsum.PathDiagram(np.int64(2), (HADAMARD,), np.int16(1)).input == 1
 
 
@@ -88,20 +82,36 @@ def _functions(module):
 
 
 def test_no_cap_or_tolerance_is_bound_at_import():
-    # A default copies the module constant once; the code must read it when called instead.
-    bound = [
-        f"{f.__module__}.{f.__qualname__}({p.name}={p.default!r})"
+    # Caps and tolerances are module constants read when called: no function
+    # takes one as an argument, with or without a default.
+    taken = [
+        f"{f.__module__}.{f.__qualname__}({p.name})"
         for module in (cli, dsl, formatting, linalg, measure, pathsum, tensornet)
         for f in _functions(module)
         for p in inspect.signature(f).parameters.values()
-        if p.name in ("cap", "tol") and p.default is not p.empty
+        if p.name in ("cap", "tol")
     ]
-    assert bound == []
+    assert taken == []
+
+
+def test_package_exports_each_modules_all():
+    # Each module's __all__ is the one list of qpath's public names.
+    modules = (linalg, measure, pathsum, tensornet, dsl)
+    missing = object()
+    differ = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in module.__all__
+        if getattr(qpath, name, missing) is not getattr(module, name)
+    ]
+    assert differ == []
+    public = {n for n, v in vars(qpath).items() if not n.startswith("_") and not inspect.ismodule(v)}
+    assert public == {name for module in modules for name in module.__all__}
 
 
 class TestMatmul:
     def test_identity_absorbs(self):
-        assert linalg.max_abs_diff(linalg.matmul(linalg.identity(2), HADAMARD), HADAMARD) == 0.0
+        assert linalg.max_abs_diff(linalg.matmul(np.eye(2), HADAMARD), HADAMARD) == 0.0
 
     def test_hadamard_squares_to_identity(self):
         # (1/sqrt2)^2 + (1/sqrt2)^2 = 1 on the diagonal, 1/2 - 1/2 = 0 off it
@@ -115,38 +125,6 @@ class TestMatmul:
     def test_shape_error_names_both_shapes(self):
         with pytest.raises(linalg.ShapeError, match=r"2x2 by 3x3"):
             linalg.matmul(np.eye(2), np.eye(3))
-
-
-class TestDagger:
-    def test_real_symmetric_fixed_point(self):
-        assert np.array_equal(linalg.dagger(HADAMARD), HADAMARD)
-
-    def test_forced_by_definition(self):
-        m = np.array([[0, 1j], [0, 0]])
-        expected = np.array([[0, 0], [-1j, 0]])
-        assert np.array_equal(linalg.dagger(m), expected)
-
-    def test_involution_exact(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            m = random_matrix(rng, 3, 4)
-            assert np.array_equal(linalg.dagger(linalg.dagger(m)), m)
-
-    def test_product_reversal(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            a, b = random_matrix(rng, 3), random_matrix(rng, 3)
-            lhs = linalg.dagger(linalg.matmul(a, b))
-            rhs = linalg.matmul(linalg.dagger(b), linalg.dagger(a))
-            assert linalg.max_abs_diff(lhs, rhs) <= 1e-12
-
-    def test_product_reversal_exact_on_rational_entries(self):
-        # entries exactly representable: integers and halves
-        a = np.array([[1, 0.5], [-2, 1j]])
-        b = np.array([[0.25, 3], [1, -0.5j]])
-        lhs = linalg.dagger(linalg.matmul(a, b))
-        rhs = linalg.matmul(linalg.dagger(b), linalg.dagger(a))
-        assert np.array_equal(lhs, rhs)
 
 
 class TestInnerProduct:
@@ -197,60 +175,17 @@ class TestKetBra:
         assert out.shape == (3, 2)
 
 
-class TestTrace:
-    def test_identity(self):
-        for d in range(2, 7):
-            assert linalg.trace(linalg.identity(d)) == d
-
-    def test_hadamard_traceless(self):
-        assert abs(linalg.trace(HADAMARD)) <= 1e-12
-
-    def test_cyclic(self):
-        rng = np.random.default_rng(13)
-        for _ in range(20):
-            a, b = random_matrix(rng, 4), random_matrix(rng, 4)
-            lhs = linalg.trace(linalg.matmul(a, b))
-            rhs = linalg.trace(linalg.matmul(b, a))
-            assert abs(lhs - rhs) <= 1e-10
-
-    def test_non_square_rejected(self):
-        with pytest.raises(linalg.ShapeError):
-            linalg.trace(np.ones((2, 3)))
-
-
-class TestTensorProduct:
-    def test_identity_times_identity(self):
-        out = linalg.tensor_product(linalg.identity(2), linalg.identity(2))
-        assert np.array_equal(out, np.eye(4))
-
-    def test_block_structure(self):
-        rng = np.random.default_rng(17)
-        u = random_matrix(rng, 2)
-        out = linalg.tensor_product(linalg.identity(2), u)
-        assert np.array_equal(out[:2, :2], u)
-        assert np.array_equal(out[2:, 2:], u)
-        assert np.all(out[:2, 2:] == 0) and np.all(out[2:, :2] == 0)
-
-    def test_mixed_product_rule(self):
-        rng = np.random.default_rng(19)
-        for _ in range(10):
-            a, b, c, d = (random_matrix(rng, 2) for _ in range(4))
-            lhs = linalg.matmul(linalg.tensor_product(a, b), linalg.tensor_product(c, d))
-            rhs = linalg.tensor_product(linalg.matmul(a, c), linalg.matmul(b, d))
-            assert linalg.max_abs_diff(lhs, rhs) <= 1e-10
-
-
 class TestUnitarity:
     def test_hadamard_is_unitary(self):
-        assert linalg.is_unitary(HADAMARD, 1e-10)
+        assert linalg.unitarity_deviation(HADAMARD) <= 1e-10
 
     def test_shear_is_not(self):
-        assert not linalg.is_unitary(np.array([[1, 1], [0, 1]]), 1e-10)
+        assert linalg.unitarity_deviation(np.array([[1, 1], [0, 1]])) > 1e-10
 
     def test_qr_construction_is_unitary(self):
         rng = np.random.default_rng(23)
         for d in (2, 3, 5):
-            assert linalg.is_unitary(linalg.haar_unitary(d, rng), 1e-10)
+            assert linalg.unitarity_deviation(linalg.haar_unitary(d, rng)) <= 1e-10
 
     def test_preserves_inner_products(self):
         rng = np.random.default_rng(29)
@@ -301,7 +236,7 @@ class TestStates:
 
     def test_identity_of_dimension_zero_rejected(self):
         with pytest.raises(ValueError, match=r"^dimension must be positive, got 0$"):
-            linalg.identity(0)
+            linalg.basis_ket(0, 0)
 
     def test_max_abs_diff_of_empty_arrays_is_zero(self):
         assert linalg.max_abs_diff(np.zeros(0), np.zeros(0)) == 0.0
@@ -310,7 +245,7 @@ class TestStates:
 def test_equality_is_tolerance_based():
     a = np.eye(2)
     b = np.eye(2) + 1e-12
-    assert linalg.equal_within(a, b, 1e-10)
-    assert not linalg.equal_within(a, b, 1e-14)
+    assert linalg.max_abs_diff(a, b) <= 1e-10
+    assert linalg.max_abs_diff(a, b) > 1e-14
     with pytest.raises(linalg.ShapeError):
         linalg.max_abs_diff(np.eye(2), np.eye(3))

@@ -111,13 +111,16 @@ class TestTensor:
         assert t.legs == (("out", 2), ("in", 2))
         assert np.array_equal(t.data, m)
 
-    def test_flat_data_reshaped(self):
-        t = Tensor([("a", 2), ("b", 3)], np.arange(6, dtype=complex))
-        assert t.data.shape == (2, 3)
-
     def test_shape_mismatch_rejected(self):
         with pytest.raises(NetworkError):
             Tensor([("a", 2), ("b", 2)], np.zeros(5, dtype=complex))
+
+    def test_flat_data_is_a_shape_mismatch(self):
+        with pytest.raises(NetworkError, match=r"^data shape \(6,\) does not match leg dims \(2, 3\)$"):
+            Tensor([("a", 2), ("b", 3)], np.arange(6, dtype=complex))
+
+    def test_repr_names_legs_and_dims(self):
+        assert repr(Tensor.from_matrix(np.eye(2))) == "Tensor(out:2, in:2)"
 
     @pytest.mark.parametrize("entry", [math.inf, math.nan, complex(0, math.inf)], ids=["inf", "nan", "infj"])
     def test_non_finite_entries_rejected(self, entry):
@@ -456,6 +459,12 @@ class TestCutEdge:
         cut = net.cut_edge((("M", "in"), ("M", "out")))
         assert cut.free_legs == [("M", "out"), ("M", "in")]
 
+    def test_repr_before_and_after_cut(self):
+        net = trace_network(np.eye(2))
+        assert repr(net) == "Network(nodes=['M'], edges=1, free=[])"
+        cut = net.cut_edge((("M", "out"), ("M", "in")))
+        assert repr(cut) == "Network(nodes=['M'], edges=0, free=['M.out', 'M.in'])"
+
     def test_unknown_edge(self):
         net = trace_network(np.eye(2))
         with pytest.raises(NetworkError, match="not in the network"):
@@ -558,6 +567,31 @@ class TestInsert:
         assert len(calls) == 1
         ket.insert_bra(("M", "out"), [1, 0])
         assert len(calls) == 3
+
+    def test_inserts_build_one_network(self, monkeypatch):
+        cut = trace_network(np.eye(2)).cut_edge((("M", "out"), ("M", "in")))
+        init = Network.__init__
+        calls = []
+        monkeypatch.setattr(Network, "__init__", lambda net, *a: calls.append(1) or init(net, *a))
+        ket = cut.insert_ket(("M", "in"), [1, 0])
+        assert len(calls) == 1
+        ket.insert_bra(("M", "out"), [1, 0])
+        assert len(calls) == 2
+
+    def test_insert_lays_out_like_add_node_then_wire(self):
+        net = Network(
+            {"M": Tensor.from_matrix(np.eye(2)), "N": Tensor.from_matrix(np.eye(2))},
+            edges=[(("M", "out"), ("N", "in"))],
+            free_legs=[("N", "out"), ("M", "in")],
+        )
+        for leg in net.free_legs:
+            ket = net.insert_ket(leg, [1, 0])
+            bra = net.insert_bra(leg, [0, 1j])
+            for got, node_id, amplitudes in ((ket, "ket0", [1, 0]), (bra, "bra0", [0, -1j])):
+                want = net.add_node(node_id, Tensor.from_state(amplitudes)).wire((node_id, "out"), leg)
+                assert list(got.nodes) == list(want.nodes)
+                assert got.edges == want.edges and got.free_legs == want.free_legs
+                assert np.array_equal(got.nodes[node_id].data, want.nodes[node_id].data)
 
     def test_ket_checks_the_leg_first_and_bra_the_state(self):
         cut = trace_network(np.eye(2)).cut_edge((("M", "out"), ("M", "in")))
