@@ -144,10 +144,9 @@ class Document:
         """Build the declared node/edge/free wiring as a Network."""
         nodes = {}
         for node_id, (kind, ref) in self.node_refs.items():
-            if kind == "gate":
-                nodes[node_id] = tensornet.Tensor.from_matrix(self.gates[ref])
-            else:
-                nodes[node_id] = tensornet.Tensor.from_state(self.states[ref])
+            # One copy of the parser-checked array; a gate's legs are (out, in).
+            arr = np.array((self.gates if kind == "gate" else self.states)[ref], complex, order="C")
+            nodes[node_id] = tensornet.Tensor._of_checked(tuple(zip(("out", "in"), arr.shape)), arr)
         return tensornet.Network(nodes, self.edges, self.free)
 
 

@@ -7,12 +7,16 @@ result. A self-loop on a single node is ordinary wiring and yields a trace.
 
 Networks are values: the surgery operations (``cut_edge``, ``wire``,
 ``insert_ket``, ``insert_bra``, ``add_node``) all return new networks and
-never mutate the receiver. ``Network.contract`` gives every leg an integer
-id, merges components pair by pair in edge-list order, sums every line the
-two share with one transpose, reshape and ``np.dot`` (numpy's ``tensordot``
-arithmetic, bit for bit), and removes self-loops by a partial trace;
-``brute_force_contract`` is an intentionally naive all-index-assignment
-summation kept as an independent oracle, sharing no code with the engine.
+never mutate the receiver. Public constructors (``Tensor(...)``,
+``from_matrix``, ``from_state``, ``Network(...)``) check everything; surgery,
+``trace_network`` and ``contract`` check only what they add, build from parts
+already checked and never re-validate their results. ``Network.contract``
+gives every leg an integer id, merges components pair by pair in edge-list
+order, sums every line the two share with one transpose, reshape and
+``np.dot`` (numpy's ``tensordot`` arithmetic, bit for bit), and removes
+self-loops by a partial trace; ``brute_force_contract`` is an intentionally
+naive all-index-assignment summation kept as an independent oracle, sharing no
+code with the engine.
 """
 
 from __future__ import annotations
@@ -54,8 +58,10 @@ class Tensor:
     __slots__ = ("legs", "data")
 
     def __init__(self, legs, data):
-        legs = _legs(legs)
+        legs = _unique(tuple((str(name), linalg._integer("leg dimension", dim)) for name, dim in legs))
         dims = tuple(dim for _, dim in legs)
+        if any(dim < 1 for dim in dims):
+            raise NetworkError(f"leg dimensions must be positive, got {dims}")
         arr = np.asarray(data, dtype=complex)
         if arr.shape != dims:
             raise NetworkError(f"data shape {arr.shape} does not match leg dims {dims}")
@@ -73,12 +79,12 @@ class Tensor:
     def _of_checked(cls, legs, arr: np.ndarray) -> "Tensor":
         """A Tensor over ``arr`` itself: finite, complex, C-contiguous, of the legs' shape, owned by the caller.
 
-        The legs are checked as ``__init__`` checks them; the array is made
-        read-only instead of being checked and copied again.
+        ``legs`` is a tuple of (str, positive int) pairs with unique names.
+        Nothing is checked or copied again; the array is made read-only.
         """
         tensor = object.__new__(cls)
         arr.setflags(write=False)
-        object.__setattr__(tensor, "legs", _legs(legs))
+        object.__setattr__(tensor, "legs", legs)
         object.__setattr__(tensor, "data", arr)
         return tensor
 
@@ -86,13 +92,13 @@ class Tensor:
     def from_matrix(cls, m) -> "Tensor":
         """View a matrix as a gate box: legs ``("out", "in")``, data[o, i] = m[o, i]."""
         m = linalg.as_matrix(m)
-        return cls._of_checked([("out", m.shape[0]), ("in", m.shape[1])], m.copy())
+        return cls._of_checked((("out", m.shape[0]), ("in", m.shape[1])), m.copy())
 
     @classmethod
     def from_state(cls, v) -> "Tensor":
         """View a ket as a state box: one leg, ``"out"``."""
         v = linalg.as_state(v)
-        return cls._of_checked([("out", v.shape[0])], v.copy())
+        return cls._of_checked((("out", v.shape[0]),), v.copy())
 
     @property
     def rank(self) -> int:
@@ -115,20 +121,24 @@ class Tensor:
         return f"Tensor({legs})"
 
 
-def _legs(legs) -> tuple[tuple[str, int], ...]:
-    """``legs`` as (name, dim) pairs, checked for unique names and positive dimensions."""
-    legs = tuple((str(name), linalg._integer("leg dimension", dim)) for name, dim in legs)
+def _unique(legs: tuple[tuple[str, int], ...]) -> tuple[tuple[str, int], ...]:
+    """``legs`` itself, checked for unique names."""
     names = [name for name, _ in legs]
     if len(set(names)) != len(names):
         raise NetworkError(f"duplicate leg names in {names}")
-    dims = tuple(dim for _, dim in legs)
-    if any(dim < 1 for dim in dims):
-        raise NetworkError(f"leg dimensions must be positive, got {dims}")
     return legs
 
 
 def _fmt_endpoint(p: EndPoint) -> str:
     return f"{p[0]}.{p[1]}"
+
+
+def _check_line(p: EndPoint, dp: int, q: EndPoint, dq: int) -> None:
+    if dp != dq:
+        raise NetworkError(
+            f"edge endpoints {_fmt_endpoint(p)} (dim {dp}) and "
+            f"{_fmt_endpoint(q)} (dim {dq}) have different dimensions"
+        )
 
 
 class Network:
@@ -160,6 +170,13 @@ class Network:
         self.free_legs = [(str(a), str(x)) for a, x in free_legs]
         self._validate()
 
+    @classmethod
+    def _of_checked(cls, nodes, edges, free_legs) -> "Network":
+        """A Network over the caller's own fresh containers of valid wiring; nothing is checked."""
+        net = object.__new__(cls)
+        net.nodes, net.edges, net.free_legs = nodes, edges, free_legs
+        return net
+
     def _dim_of(self, p: EndPoint) -> int:
         node, leg = p
         if node not in self.nodes:
@@ -171,12 +188,7 @@ class Network:
         # raise its message (dimensions are positive, so ``or`` never skips one).
         dims = {(node_id, leg): dim for node_id, t in self.nodes.items() for leg, dim in t.legs}
         for p, q in self.edges:
-            dp, dq = dims.get(p) or self._dim_of(p), dims.get(q) or self._dim_of(q)
-            if dp != dq:
-                raise NetworkError(
-                    f"edge endpoints {_fmt_endpoint(p)} (dim {dp}) and "
-                    f"{_fmt_endpoint(q)} (dim {dq}) have different dimensions"
-                )
+            _check_line(p, dims.get(p) or self._dim_of(p), q, dims.get(q) or self._dim_of(q))
         for p in self.free_legs:
             if p not in dims:
                 self._dim_of(p)
@@ -222,16 +234,17 @@ class Network:
         comp: dict[int, tuple[np.ndarray, list[int]]] = {}
         owner: list[int] = []
         for key, (node_id, tensor) in enumerate(self.nodes.items()):
-            axes = list(range(len(owner), len(owner) + len(tensor.legs)))
+            comp[key] = (tensor.data, list(range(len(owner), len(owner) + len(tensor.legs))))
             for leg_name, _ in tensor.legs:
                 ids[(node_id, leg_name)] = len(owner)
                 owner.append(key)
-            comp[key] = (tensor.data, axes)
         partner = [-1] * len(owner)
         owner.append(-1)
-        lines = [(ids[p], ids[q]) for p, q in self.edges]
-        for p, q in lines:
+        lines = []
+        for p, q in self.edges:
+            p, q = ids[p], ids[q]
             partner[p], partner[q] = q, p
+            lines.append((p, q))
 
         for e in schedule:
             p, q = lines[e]
@@ -240,34 +253,39 @@ class Network:
                 continue
             if cp == cq:
                 arr, axes = comp[cp]
-                i, j = axes.index(p), axes.index(q)
-                arr = np.trace(arr, axis1=i, axis2=j)
+                arr = np.trace(arr, axis1=axes.index(p), axis2=axes.index(q))
                 comp[cp] = (arr, [x for x in axes if x != p and x != q])
                 owner[p] = owner[q] = -1
                 continue
             a, la = comp[cp]
-            b, lb = comp[cq]
+            b, lb = comp.pop(cq)
             # Every line between the two components, found from the smaller
             # in its axis order: that order is the order the dot sums in.
             flip = len(lb) < len(la)
             small, big, other = (lb, la, cp) if flip else (la, lb, cq)
-            ks = [k for k, x in enumerate(small) if owner[partner[x]] == other]
-            ms = [big.index(partner[small[k]]) for k in ks]
+            ks, ms = [], []
+            for k, x in enumerate(small):
+                y = partner[x]
+                if owner[y] == other:
+                    ks.append(k)
+                    ms.append(big.index(y))
+                    owner[x] = owner[y] = -1
             ia, ib = (ms, ks) if flip else (ks, ms)
-            for k in ks:
-                owner[small[k]] = owner[partner[small[k]]] = -1
-            keep_a = [k for k, x in enumerate(la) if owner[x] >= 0]
-            keep_b = [k for k, x in enumerate(lb) if owner[x] >= 0]
+            keep_a, keep_b, axes = [], [], []
+            for k, x in enumerate(la):
+                if owner[x] >= 0:
+                    keep_a.append(k)
+                    axes.append(x)
+            for k, x in enumerate(lb):
+                if owner[x] >= 0:
+                    keep_b.append(k)
+                    axes.append(x)
+                    owner[x] = cp
             at = a.transpose(keep_a + ia)
             bt = b.transpose(ib + keep_b)
             n = math.prod(bt.shape[: len(ib)])
             arr = np.dot(at.reshape(-1, n), bt.reshape(n, -1))
-            arr = arr.reshape(at.shape[: len(keep_a)] + bt.shape[len(ib) :])
-            rest_b = [lb[k] for k in keep_b]
-            comp[cp] = (arr, [la[k] for k in keep_a] + rest_b)
-            for x in rest_b:
-                owner[x] = cp
-            del comp[cq]
+            comp[cp] = (arr.reshape(at.shape[: len(keep_a)] + bt.shape[len(ib) :]), axes)
 
         # Outer product of whatever components remain (disconnected pieces).
         arr = np.ones((), dtype=complex)
@@ -283,8 +301,9 @@ class Network:
         if not np.isfinite(out).all():
             idx = tuple(np.argwhere(~np.isfinite(out))[0].tolist())
             raise NetworkError(_overflow(f"entry {_entry_key(idx)}", ("contraction", out[idx])))
-        out_legs = [(f"{node}.{leg}", dim) for (node, leg), dim in zip(self.free_legs, out.shape)]
-        return Tensor._of_checked(out_legs, out)
+        # Distinct (node, leg) pairs can still join to one name ("a.b" + "c", "a" + "b.c").
+        out_legs = tuple((f"{node}.{leg}", dim) for (node, leg), dim in zip(self.free_legs, out.shape))
+        return Tensor._of_checked(_unique(out_legs), out)
 
     # -- graph surgery -----------------------------------------------------
 
@@ -302,31 +321,33 @@ class Network:
     def cut_edge(self, edge) -> "Network":
         """Remove an edge; its endpoints become free legs, first endpoint first."""
         i = self._find_edge(edge)
-        stored = self.edges[i]
         new_edges = self.edges[:i] + self.edges[i + 1 :]
-        return Network(self.nodes, new_edges, self.free_legs + [stored[0], stored[1]])
+        return Network._of_checked(dict(self.nodes), new_edges, self.free_legs + list(self.edges[i]))
+
+    def _free(self, leg) -> EndPoint:
+        leg = (str(leg[0]), str(leg[1]))
+        if leg not in self.free_legs:
+            raise NetworkError(f"leg {_fmt_endpoint(leg)} is not free")
+        return leg
 
     def wire(self, a, b) -> "Network":
         """Join two free legs into an edge (the inverse of ``cut_edge``)."""
-        a = (str(a[0]), str(a[1]))
-        b = (str(b[0]), str(b[1]))
-        for p in (a, b):
-            if p not in self.free_legs:
-                raise NetworkError(f"leg {_fmt_endpoint(p)} is not free")
+        a, b = self._free(a), self._free(b)
         if a == b:
             raise NetworkError(f"cannot wire leg {_fmt_endpoint(a)} to itself")
+        _check_line(a, self._dim_of(a), b, self._dim_of(b))
         remaining = [p for p in self.free_legs if p not in (a, b)]
-        return Network(self.nodes, self.edges + [(a, b)], remaining)
+        return Network._of_checked(dict(self.nodes), self.edges + [(a, b)], remaining)
 
     def add_node(self, node_id: str, tensor: Tensor) -> "Network":
         """Add a tensor as a new node; its legs are appended to the free legs."""
         node_id = str(node_id)
         if node_id in self.nodes:
             raise NetworkError(f"node id '{node_id}' already exists")
-        nodes = dict(self.nodes)
-        nodes[node_id] = tensor
+        if not isinstance(tensor, Tensor):
+            raise NetworkError(f"node '{node_id}' is not a Tensor")
         new_free = self.free_legs + [(node_id, leg_name) for leg_name, _ in tensor.legs]
-        return Network(nodes, self.edges, new_free)
+        return Network._of_checked({**self.nodes, node_id: tensor}, list(self.edges), new_free)
 
     def _fresh_id(self, prefix: str) -> str:
         n = 0
@@ -334,31 +355,28 @@ class Network:
             n += 1
         return f"{prefix}{n}"
 
-    def _insert_rank1(self, free_leg, amplitudes, prefix: str) -> "Network":
-        free_leg = (str(free_leg[0]), str(free_leg[1]))
-        if free_leg not in self.free_legs:
-            raise NetworkError(f"leg {_fmt_endpoint(free_leg)} is not free")
-        node = Tensor.from_state(amplitudes)
-        have, want = node.leg_dim("out"), self._dim_of(free_leg)
+    def _insert_rank1(self, free_leg: EndPoint, fresh: np.ndarray, prefix: str) -> "Network":
+        have, want = fresh.shape[0], self._dim_of(free_leg)
         if have != want:
             raise NetworkError(
                 f"dimension mismatch: state has dim {have}, "
                 f"leg {_fmt_endpoint(free_leg)} has dim {want}"
             )
         node_id = self._fresh_id(prefix)
-        return Network(
-            {**self.nodes, node_id: node},
+        return Network._of_checked(
+            {**self.nodes, node_id: Tensor._of_checked((("out", have),), fresh)},
             self.edges + [((node_id, "out"), free_leg)],
             [p for p in self.free_legs if p != free_leg],
         )
 
     def insert_ket(self, free_leg, state) -> "Network":
         """Tie a ket into a free leg: a rank-1 node holding the amplitudes."""
-        return self._insert_rank1(free_leg, state, "ket")
+        return self._insert_rank1(self._free(free_leg), linalg.as_state(state).copy(), "ket")
 
     def insert_bra(self, free_leg, state) -> "Network":
         """Tie a bra into a free leg: like ``insert_ket`` with conjugated amplitudes."""
-        return self._insert_rank1(free_leg, linalg.as_state(state).conj(), "bra")
+        fresh = linalg.as_state(state).conj()
+        return self._insert_rank1(self._free(free_leg), fresh, "bra")
 
     def __repr__(self) -> str:
         return (
@@ -404,16 +422,15 @@ def brute_force_contract(net: Network) -> Tensor:
             total += term
         out[free_assign] = total
 
-    out_legs = [
-        (f"{node}.{leg}", net.nodes[node].leg_dim(leg)) for node, leg in net.free_legs
-    ]
+    out_legs = [(f"{node}.{leg}", dim) for (node, leg), dim in zip(net.free_legs, free_dims)]
     return Tensor(out_legs, out)
 
 
 def trace_network(m) -> Network:
     """The closed loop ``M.out -- M.in`` on one node ``M`` holding m: it contracts to tr(m)."""
-    tensor = Tensor.from_matrix(linalg.as_square(m))
-    return Network({"M": tensor}, edges=[(("M", "out"), ("M", "in"))])
+    m = linalg.as_square(m)
+    tensor = Tensor._of_checked((("out", len(m)), ("in", len(m))), m.copy())
+    return Network._of_checked({"M": tensor}, [(("M", "out"), ("M", "in"))], [])
 
 
 def amplitude_via_density(a, b, m) -> complex:

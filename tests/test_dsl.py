@@ -80,6 +80,22 @@ class TestGrammar:
         out = net.contract()
         assert np.allclose(np.asarray(out.data), result.document.gates["H"][:, 0])
 
+    def test_network_builds_from_the_parsed_arrays_without_checking_them_again(self, monkeypatch):
+        src = MZ_SOURCE + "state zero = [1, 0]\nnode a : H\nnode s : zero\nedge s.out -> a.in\nfree a.out\n"
+        doc = dsl.parse(src).document
+        isfinite = np.isfinite
+        calls = []
+        monkeypatch.setattr(np, "isfinite", lambda a: calls.append(a.shape) or isfinite(a))
+        net = doc.network()
+        monkeypatch.undo()
+        assert calls == []
+        assert [t.legs for t in net.nodes.values()] == [(("out", 2), ("in", 2)), (("out", 2),)]
+        gate, state = net.nodes["a"].data.copy(), net.nodes["s"].data.copy()
+        doc.gates["H"][0, 0] = 5
+        doc.states["zero"][0] = 7
+        assert np.array_equal(net.nodes["a"].data, gate) and np.array_equal(net.nodes["s"].data, state)
+        assert not net.nodes["a"].data.flags.writeable and doc.gates["H"].flags.writeable
+
     def test_gates_shadow_states_in_node_refs(self):
         src = "dim 2\ngate G = [[1, 0], [0, 1]]\nstate G = [1, 0]\nnode n : G\nedge n.out -> n.in\n"
         result = dsl.parse(src)

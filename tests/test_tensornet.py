@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpath import linalg
+from qpath import dsl, linalg
 from qpath.tensornet import (
     Network,
     NetworkError,
@@ -508,6 +508,92 @@ class TestCutEdge:
             cut.add_node("M", Tensor.from_state([1, 0]))
 
 
+class TestSurgeryChecks:
+    """The checks surgery and ``contract`` keep once they no longer build through ``Network(...)``."""
+
+    def test_wire_refuses_legs_of_different_dimensions(self):
+        net = Network(
+            {"a": Tensor.from_matrix(np.eye(2)), "b": Tensor.from_matrix(np.eye(3))},
+            free_legs=[("a", "out"), ("a", "in"), ("b", "out"), ("b", "in")],
+        )
+        with pytest.raises(
+            NetworkError, match=r"^edge endpoints a\.out \(dim 2\) and b\.in \(dim 3\) have different dimensions$"
+        ):
+            net.wire(("a", "out"), ("b", "in"))
+
+    def test_add_node_refuses_a_bare_array(self):
+        with pytest.raises(NetworkError, match=r"^node 'X' is not a Tensor$"):
+            trace_network(np.eye(2)).add_node("X", np.eye(2))
+
+    def test_contract_refuses_free_legs_whose_names_collide(self):
+        # Distinct (node, leg) pairs, one result name: "a.b" + "c" and "a" + "b.c".
+        net = Network(
+            {"a.b": Tensor([("c", 2)], [1, 2]), "a": Tensor([("b.c", 2)], [3, 4])},
+            free_legs=[("a.b", "c"), ("a", "b.c")],
+        )
+        with pytest.raises(NetworkError, match=r"duplicate leg names"):
+            net.contract()
+
+    def test_trace_network_checks_the_matrix_once(self, monkeypatch):
+        as_matrix = linalg.as_matrix
+        calls = []
+        monkeypatch.setattr(linalg, "as_matrix", lambda m: calls.append(1) or as_matrix(m))
+        trace_network(np.eye(2))
+        assert len(calls) == 1
+
+
+def built_networks(rng):
+    """(receiver, result) for each network the library builds, from a random ring, chain or torus.
+
+    The receiver is None for ``trace_network`` and ``Document.network``.
+    """
+    kind = ["ring", "chain", "torus"][int(rng.integers(3))]
+    if kind == "torus":
+        base, _ = torus(rng, 2, 2)
+    else:
+        d, n = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        nodes = {f"n{k}": Tensor.from_matrix(random_matrix(rng, d)) for k in range(n)}
+        edges = [((f"n{k}", "out"), (f"n{(k + 1) % n}", "in")) for k in range(n)]
+        free = [] if kind == "ring" else [edges[-1][1], edges[-1][0]]
+        base = Network(nodes, edges if kind == "ring" else edges[:-1], free)
+    pairs = []
+    net = base
+    if net.edges:
+        net = base.cut_edge(base.edges[int(rng.integers(len(base.edges)))])
+        pairs.append((base, net))
+    leg = net.free_legs[-1]
+    d = net.nodes[leg[0]].leg_dim(leg[1])
+    pairs.append((net, net.insert_ket(leg, random_state(rng, d))))
+    pairs.append((net, net.insert_bra(leg, random_state(rng, d))))
+    grown = net.add_node("extra", Tensor.from_matrix(random_matrix(rng, d)))
+    pairs.append((net, grown))
+    pairs.append((grown, grown.wire(leg, ("extra", "in"))))
+    pairs.append((None, trace_network(random_matrix(rng, d))))
+    gate = ", ".join(f"[{', '.join(str(float(x)) for x in row)}]" for row in rng.standard_normal((d, d)))
+    doc = dsl.parse(f"dim {d}\ngate G = [{gate}]\nnode m : G\nedge m.out -> m.in\n").document
+    pairs.append((None, doc.network()))
+    return pairs
+
+
+class TestBuiltNetworksAreValues:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_valid_independent_and_contracting_like_the_oracle(self, seed):
+        for receiver, net in built_networks(np.random.default_rng(seed)):
+            net._validate()
+            if receiver is not None:
+                before = (dict(receiver.nodes), list(receiver.edges), list(receiver.free_legs))
+                net.nodes["mutant"] = Tensor.from_state([1])
+                net.edges.append((("mutant", "out"), ("mutant", "out")))
+                net.free_legs.append(("mutant", "out"))
+                assert (receiver.nodes, receiver.edges, receiver.free_legs) == before
+                del net.nodes["mutant"]
+                net.edges.pop()
+                net.free_legs.pop()
+            fast, slow = net.contract(), brute_force_contract(net)
+            assert fast.legs == slow.legs
+            assert linalg.max_abs_diff(fast.data, slow.data) <= 1e-10
+
+
 class TestInsert:
     def test_insert_ket_applies_matrix(self):
         rng = np.random.default_rng(18)
@@ -558,7 +644,7 @@ class TestInsert:
         assert twice.edges[-1] == (("ket1", "out"), ("M", "out"))
 
     def test_inserts_check_the_state_once(self, monkeypatch):
-        # insert_bra checks the state it conjugates; the node is built from it once.
+        # Each insert checks its state once and builds the node from that array.
         cut = trace_network(np.eye(2)).cut_edge((("M", "out"), ("M", "in")))
         as_state = linalg.as_state
         calls = []
@@ -566,17 +652,19 @@ class TestInsert:
         ket = cut.insert_ket(("M", "in"), [1, 0])
         assert len(calls) == 1
         ket.insert_bra(("M", "out"), [1, 0])
-        assert len(calls) == 3
+        assert len(calls) == 2
 
     def test_inserts_build_one_network(self, monkeypatch):
+        # One network per insert, built from checked parts and never re-validated.
         cut = trace_network(np.eye(2)).cut_edge((("M", "out"), ("M", "in")))
-        init = Network.__init__
-        calls = []
-        monkeypatch.setattr(Network, "__init__", lambda net, *a: calls.append(1) or init(net, *a))
+        of_checked, validate = Network._of_checked, Network._validate
+        built, validated = [], []
+        monkeypatch.setattr(Network, "_of_checked", lambda *a: built.append(1) or of_checked(*a))
+        monkeypatch.setattr(Network, "_validate", lambda net: validated.append(1) or validate(net))
         ket = cut.insert_ket(("M", "in"), [1, 0])
-        assert len(calls) == 1
+        assert (len(built), len(validated)) == (1, 0)
         ket.insert_bra(("M", "out"), [1, 0])
-        assert len(calls) == 2
+        assert (len(built), len(validated)) == (2, 0)
 
     def test_insert_lays_out_like_add_node_then_wire(self):
         net = Network(
