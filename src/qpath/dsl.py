@@ -25,6 +25,11 @@ word: a pattern for the rest of the line, a handler that checks the match
 against the declarations before it and records the result, and the printed
 form of the kind's declarations, which ``pretty_print`` writes.
 
+A bracketed literal is read with one ``_RE_STRUCTURE`` scan for its ``[``,
+``]`` and ``,`` characters, which splits it at depth 0 (a matrix into rows,
+each row into entries), then one ``_RE_COMPLEX`` match per entry; no other
+character is visited in Python.
+
 Parsing is total: it never raises on text input. On failure the result
 carries every diagnostic found, each with a 1-based line and column, and no
 document is produced.
@@ -60,15 +65,22 @@ _RE_COMPLEX = re.compile(
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _RE_HEAD = re.compile(r"\s*(\S+)")
-_RE_NAMED = re.compile(rf"\s+(?P<name>{_NAME})\s*=\s*(?P<body>\S.*?)\s*")
+# The body runs greedily to the line's last non-space; a lazy ``\S.*?`` matches the
+# same span but tries to end the match after every character of a long gate line.
+_RE_NAMED = re.compile(rf"\s+(?P<name>{_NAME})\s*=\s*(?P<body>\S(?:.*\S)?)\s*")
+# The only characters that split a bracketed literal or change its depth.
+_RE_STRUCTURE = re.compile(r"[\[\],]")
 
 _LEGS = {"gate": ("in", "out"), "state": ("out",)}
 
 
+# The signed spellings of the one real literal ``float`` does not read.
+_SQRT_TOKENS = {"1/sqrt2": _SQRT1_2, "+1/sqrt2": _SQRT1_2, "-1/sqrt2": -_SQRT1_2}
+
+
 def _real_value(token: str) -> float:
-    if token.endswith("1/sqrt2"):
-        return -_SQRT1_2 if token.startswith("-") else _SQRT1_2
-    return float(token)
+    value = _SQRT_TOKENS.get(token)
+    return float(token) if value is None else value
 
 
 def parse_complex_literal(token: str) -> complex | None:
@@ -76,8 +88,9 @@ def parse_complex_literal(token: str) -> complex | None:
     m = _RE_COMPLEX.fullmatch(token.strip())
     if m is None or not m[0]:
         return None
-    re_part = _real_value(m["re"]) if m["re"] else 0.0
-    im_part = _real_value(m["sign"] + (m["im"] or "1")) if m["i"] else 0.0
+    re_token, sign, im_token, i = m.groups()
+    re_part = _real_value(re_token) if re_token else 0.0
+    im_part = _real_value(sign + (im_token or "1")) if i else 0.0
     return complex(re_part, im_part)
 
 
@@ -344,17 +357,20 @@ class _Parser:
         items: list[tuple[str, int]] = []
         depth = 0
         start = 0
-        for i, ch in enumerate(inner):
-            if ch == "[":
+        for m in _RE_STRUCTURE.finditer(inner):
+            ch = m[0]
+            if ch == ",":
+                if depth == 0:
+                    i = m.start()
+                    items.append((inner[start:i], base_col + 1 + start))
+                    start = i + 1
+            elif ch == "[":
                 depth += 1
-            elif ch == "]":
+            else:
                 depth -= 1
                 if depth < 0:
-                    self.error("malformed bracketed literal", base_col + 1 + i)
+                    self.error("malformed bracketed literal", base_col + 1 + m.start())
                     return None
-            elif ch == "," and depth == 0:
-                items.append((inner[start:i], base_col + 1 + start))
-                start = i + 1
         if depth != 0:
             self.error("malformed bracketed literal", base_col)
             return None

@@ -208,12 +208,13 @@ def cup_cap_network(m) -> Network:
     """
     m = linalg.as_square(m)
     d = m.shape[0]
-    cap = Tensor([("in0", d), ("in1", d)], m.T)
-    cup = Tensor([("out0", d), ("out1", d)], np.eye(d, dtype=complex))
-    return Network(
+    # Each node holds its own C-ordered array; the wiring below is valid by construction.
+    cap = Tensor._of_checked((("in0", d), ("in1", d)), m.T.copy())
+    cup = Tensor._of_checked((("out0", d), ("out1", d)), np.eye(d, dtype=complex))
+    return Network._of_checked(
         {"cap": cap, "cup": cup},
-        edges=[(("cap", "in1"), ("cup", "out0"))],
-        free_legs=[("cap", "in0"), ("cup", "out1")],
+        [(("cap", "in1"), ("cup", "out0"))],
+        [("cap", "in0"), ("cup", "out1")],
     )
 
 

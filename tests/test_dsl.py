@@ -1,6 +1,7 @@
 """Document parsing: grammar, diagnostics, literals, round-tripping, fuzz."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -403,3 +404,110 @@ def test_print_parse_round_trip(source):
 @given(st.complex_numbers(allow_nan=False, allow_infinity=False))
 def test_format_complex_reparses_property(z):
     assert dsl.parse_complex_literal(dsl.format_complex(z)) == z
+
+
+# -- literal scanning ---------------------------------------------------------
+
+def reference_split_bracketed(parser, text: str, base_col: int):
+    """The per-character splitter ``split_bracketed`` replaced, kept as its oracle."""
+    text = text.rstrip()
+    if not text.startswith("[") or not text.endswith("]"):
+        parser.error("malformed bracketed literal", base_col)
+        return None
+    inner = text[1:-1]
+    items = []
+    depth = 0
+    start = 0
+    for i, ch in enumerate(inner):
+        if ch == "[":
+            depth += 1
+        elif ch == "]":
+            depth -= 1
+            if depth < 0:
+                parser.error("malformed bracketed literal", base_col + 1 + i)
+                return None
+        elif ch == "," and depth == 0:
+            items.append((inner[start:i], base_col + 1 + start))
+            start = i + 1
+    if depth != 0:
+        parser.error("malformed bracketed literal", base_col)
+        return None
+    items.append((inner[start:], base_col + 1 + start))
+    if len(items) == 1 and not items[0][0].strip():
+        return []
+    return items
+
+
+def split_with(splitter, text: str, base_col: int):
+    parser = dsl._Parser("")
+    return splitter(parser, text, base_col), parser.diags
+
+
+_PIECES = st.sampled_from(["[", "]", ",", " ", "\t", "\r", "1", "-2.5", "i", "1/sqrt2", "x"])
+_FLAT = st.lists(_PIECES, max_size=30).map("".join)
+# balanced literals nested to any depth, with empty lists and blank or odd items
+_NESTED = st.recursive(
+    st.sampled_from(["", " ", "1", "-i", " 2+3i ", "x", "[]"]),
+    lambda inner: st.lists(inner, max_size=4).map(lambda items: "[" + ",".join(items) + "]"),
+    max_leaves=12,
+)
+BRACKETED = st.one_of(_FLAT, _NESTED, st.tuples(_NESTED, _FLAT, _NESTED).map("".join))
+
+
+@settings(max_examples=500)
+@given(BRACKETED, st.integers(1, 40))
+def test_split_bracketed_matches_character_loop(text, base_col):
+    assert (split_with(dsl._Parser.split_bracketed, text, base_col)
+            == split_with(reference_split_bracketed, text, base_col))
+
+
+# the lazy body ``_RE_NAMED`` had before its greedy one, kept as its oracle
+LAZY_NAMED = re.compile(r"\s+(?P<name>[A-Za-z_][A-Za-z0-9_]*)\s*=\s*(?P<body>\S.*?)\s*")
+_LINE_PIECES = st.sampled_from([" ", "\t", "\r", "\x0b", "\x85", "=", "G", "x1", "[", "]", ",",
+                                "1", "i", "#", " # note"])
+NAMED_RESTS = st.tuples(st.sampled_from(["", " ", " G = ", " G=", "\tx1 =\t"]),
+                        st.lists(_LINE_PIECES, max_size=20).map("".join)).map("".join)
+
+
+@settings(max_examples=500)
+@given(NAMED_RESTS)
+def test_named_pattern_matches_the_lazy_one(rest):
+    # the raw text, and the comment-free line the parser matches
+    for line in (rest, rest.split("#", 1)[0]):
+        lazy, greedy = LAZY_NAMED.fullmatch(line), dsl._RE_NAMED.fullmatch(line)
+        assert (lazy is None) == (greedy is None)
+        if lazy is not None:
+            assert (lazy.span("name"), lazy.span("body")) == (greedy.span("name"), greedy.span("body"))
+
+
+class TestLongLines:
+    D = 32
+
+    def entries(self):
+        rng = np.random.default_rng(32)
+        m = rng.standard_normal((self.D, self.D)) + 1j * rng.standard_normal((self.D, self.D))
+        return m, [[spell(complex(z)) for z in row] for row in m]
+
+    @staticmethod
+    def gate_line(entries) -> str:
+        return "gate U = [" + ", ".join("[" + ", ".join(row) + "]" for row in entries) + "]"
+
+    def test_d32_gate_round_trips(self):
+        m, entries = self.entries()
+        first = dsl.parse(f"dim {self.D}\n{self.gate_line(entries)}\ncircuit c = U U\n")
+        assert first.ok, first.diagnostics
+        assert np.array_equal(first.document.gates["U"], m)
+        printed = dsl.pretty_print(first.document)
+        second = dsl.parse(printed)
+        assert documents_match(first.document, second.document)
+        assert dsl.pretty_print(second.document) == printed
+
+    def test_malformed_entry_deep_in_the_line_is_positioned(self):
+        _, entries = self.entries()
+        entries[29][17] = "1.5x"
+        line = self.gate_line(entries) + "  \t# d=32"
+        result = dsl.parse(f"dim {self.D}\n{line}\r\n")
+        # an entry's column is where its item starts, just after the comma
+        assert [(d.message, d.line, d.column, d.excerpt) for d in result.diagnostics] == [
+            ("malformed complex literal '1.5x'", 2, line.index(", 1.5x") + 2, line)
+        ]

@@ -287,6 +287,25 @@ class TestTeleport:
         assert np.array_equal(net.nodes["cup"].data, np.eye(2))
         assert net.free_legs == [("cap", "in0"), ("cup", "out1")]
 
+    def test_cup_cap_checks_once_and_owns_its_arrays(self, monkeypatch):
+        # One square check; both nodes and the wiring are built from checked parts.
+        as_square, validate = linalg.as_square, measure.Network._validate
+        checks, validated = [], []
+        monkeypatch.setattr(linalg, "as_square", lambda v: checks.append(1) or as_square(v))
+        monkeypatch.setattr(measure.Network, "_validate",
+                            lambda net: validated.append(1) or validate(net))
+        m = np.array([[1, 2j], [3, 4]], dtype=complex)
+        net = cup_cap_network(m)
+        assert (len(checks), len(validated)) == (1, 0)
+        cap = net.nodes["cap"].data
+        assert cap.flags.c_contiguous and np.array_equal(cap, m.T)
+        assert not np.shares_memory(cap, m)
+        m[0, 1] = 7
+        assert cap[1, 0] == 2j
+        assert net.edges == [(("cap", "in1"), ("cup", "out0"))]
+        assert [leg for leg, _ in net.nodes["cap"].legs] == ["in0", "in1"]
+        assert [leg for leg, _ in net.nodes["cup"].legs] == ["out0", "out1"]
+
     def test_dimension_mismatch(self):
         with pytest.raises(linalg.ShapeError):
             teleport_check(np.eye(2), np.ones(3))
