@@ -389,7 +389,9 @@ class _Parser:
             value = parse_complex_literal(item_text)
             if value is None or not cmath.isfinite(value):
                 problem = "malformed" if value is None else "non-finite"
-                self.error(f"{problem} complex literal '{item_text.strip()}'", item_col)
+                entry = item_text.lstrip()
+                column = item_col + len(item_text) - len(entry)
+                self.error(f"{problem} complex literal '{entry.rstrip()}'", column)
                 ok = False
             else:
                 out.append(value)

@@ -14,7 +14,9 @@ already checked and never re-validate their results. ``Network.contract``
 gives every leg an integer id, merges components pair by pair in edge-list
 order, sums every line the two share with one transpose, reshape and
 ``np.dot`` (numpy's ``tensordot`` arithmetic, bit for bit), and removes
-self-loops by a partial trace; ``brute_force_contract`` is an intentionally
+self-loops by a partial trace. Two matrices sharing one line skip the
+transpose and reshape: one ``np.dot`` takes each array or its transpose, the
+operands ``tensordot`` would pass; ``brute_force_contract`` is an intentionally
 naive all-index-assignment summation kept as an independent oracle, sharing no
 code with the engine.
 """
@@ -210,13 +212,16 @@ class Network:
         components, every line between them is summed in one merge (the
         transpose, reshape and ``np.dot`` that numpy's ``tensordot`` makes),
         and edges already eliminated that way are skipped when their turn
-        comes. Self-loops on a single node are removed by a partial trace.
-        Disconnected remainders are combined by an outer product. ``order``
-        optionally gives a permutation of edge indices to process; any
-        permutation yields the same result up to float reassociation. A
-        network with no free legs contracts to a rank-0 tensor. If an entry
-        overflows double precision, a NetworkError names the first one by the
-        key ``qpath contract`` prints for it (``-`` for a scalar).
+        comes. Two rank-2 components sharing one line skip the transpose and
+        reshape: one ``np.dot`` takes their own or transposed views, the
+        operands ``tensordot`` would pass. Self-loops on a single node are
+        removed by a partial trace. Disconnected remainders are combined by
+        an outer product. ``order`` optionally gives a permutation of edge
+        indices to process; any permutation yields the same result up to
+        float reassociation. A network with no free legs contracts to a
+        rank-0 tensor. If an entry overflows double precision, a
+        NetworkError names the first one by the key ``qpath contract``
+        prints for it (``-`` for a scalar).
         """
         if order is None:
             schedule = range(len(self.edges))
@@ -259,6 +264,18 @@ class Network:
                 continue
             a, la = comp[cp]
             b, lb = comp.pop(cq)
+            if len(la) == 2 == len(lb):
+                # Two matrices sharing p--q and no other line: the general
+                # path's dot operands are a or a.T and b or b.T themselves.
+                ka = la[0] if la[1] == p else la[1]
+                kb = lb[1] if lb[0] == q else lb[0]
+                if partner[ka] != kb:
+                    owner[p] = owner[q] = -1
+                    owner[kb] = cp
+                    at = a if ka == la[0] else a.T
+                    bt = b if kb == lb[1] else b.T
+                    comp[cp] = (np.dot(at, bt), [ka, kb])
+                    continue
             # Every line between the two components, found from the smaller
             # in its axis order: that order is the order the dot sums in.
             flip = len(lb) < len(la)

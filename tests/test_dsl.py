@@ -116,6 +116,13 @@ class TestDiagnostics:
         result = dsl.parse("dim 2\ngate G = [[1, oops], [0, 1]]\n")
         assert any("malformed complex literal 'oops'" in m for m in messages(result))
 
+    def test_bad_entry_is_positioned_at_its_first_character(self):
+        result = dsl.parse("dim 2\ngate G = [[1, oops], [0, 1]]\nstate s = [ \t1,   x ]\n")
+        assert [(d.message, d.line, d.column) for d in result.diagnostics] == [
+            ("malformed complex literal 'oops'", 2, 15),
+            ("malformed complex literal 'x'", 3, 19),
+        ]
+
     def test_non_finite_literal_is_positioned(self):
         result = dsl.parse("dim 2\ngate G = [[1e999, 0], [0, 1]]\nstate s = [1, -2e400i]\n")
         assert not result.ok
@@ -123,7 +130,7 @@ class TestDiagnostics:
         assert gate.message == "non-finite complex literal '1e999'"
         assert (gate.line, gate.column) == (2, 12)
         assert state.message == "non-finite complex literal '-2e400i'"
-        assert (state.line, state.column) == (3, 14)
+        assert (state.line, state.column) == (3, 15)
 
     def test_dimension_must_be_decimal_digits(self):
         # "²" is a digit to str.isdigit but not to int()
@@ -507,7 +514,7 @@ class TestLongLines:
         entries[29][17] = "1.5x"
         line = self.gate_line(entries) + "  \t# d=32"
         result = dsl.parse(f"dim {self.D}\n{line}\r\n")
-        # an entry's column is where its item starts, just after the comma
+        # an entry's column is its first character, after the comma and blank
         assert [(d.message, d.line, d.column, d.excerpt) for d in result.diagnostics] == [
-            ("malformed complex literal '1.5x'", 2, line.index(", 1.5x") + 2, line)
+            ("malformed complex literal '1.5x'", 2, line.index("1.5x") + 1, line)
         ]

@@ -434,6 +434,119 @@ class TestContract:
         assert net.contract().data.tobytes() == expected.tobytes()
 
 
+# -- the merge of two matrices --------------------------------------------------
+
+def reference_contract(net, order=None):
+    """(legs, array) from ``Network.contract``'s loop before its matrix merge, kept as its oracle.
+
+    Every merge scans for the shared lines, then transposes, reshapes and dots.
+    """
+    schedule = range(len(net.edges)) if order is None else order
+    ids, comp, owner = {}, {}, []
+    for key, (node_id, tensor) in enumerate(net.nodes.items()):
+        comp[key] = (tensor.data, list(range(len(owner), len(owner) + len(tensor.legs))))
+        for leg_name, _ in tensor.legs:
+            ids[(node_id, leg_name)] = len(owner)
+            owner.append(key)
+    partner = [-1] * len(owner)
+    owner.append(-1)
+    lines = []
+    for p, q in net.edges:
+        p, q = ids[p], ids[q]
+        partner[p], partner[q] = q, p
+        lines.append((p, q))
+    for e in schedule:
+        p, q = lines[e]
+        cp, cq = owner[p], owner[q]
+        if cp < 0:
+            continue
+        if cp == cq:
+            arr, axes = comp[cp]
+            arr = np.trace(arr, axis1=axes.index(p), axis2=axes.index(q))
+            comp[cp] = (arr, [x for x in axes if x != p and x != q])
+            owner[p] = owner[q] = -1
+            continue
+        a, la = comp[cp]
+        b, lb = comp.pop(cq)
+        flip = len(lb) < len(la)
+        small, big, other = (lb, la, cp) if flip else (la, lb, cq)
+        ks, ms = [], []
+        for k, x in enumerate(small):
+            y = partner[x]
+            if owner[y] == other:
+                ks.append(k)
+                ms.append(big.index(y))
+                owner[x] = owner[y] = -1
+        ia, ib = (ms, ks) if flip else (ks, ms)
+        keep_a, keep_b, axes = [], [], []
+        for k, x in enumerate(la):
+            if owner[x] >= 0:
+                keep_a.append(k)
+                axes.append(x)
+        for k, x in enumerate(lb):
+            if owner[x] >= 0:
+                keep_b.append(k)
+                axes.append(x)
+                owner[x] = cp
+        at = a.transpose(keep_a + ia)
+        bt = b.transpose(ib + keep_b)
+        n = math.prod(bt.shape[: len(ib)])
+        arr = np.dot(at.reshape(-1, n), bt.reshape(n, -1))
+        comp[cp] = (arr.reshape(at.shape[: len(keep_a)] + bt.shape[len(ib) :]), axes)
+    arr = np.ones((), dtype=complex)
+    axes = []
+    for part, part_axes in comp.values():
+        arr = np.multiply.outer(arr, part)
+        axes = axes + part_axes
+    out = arr.transpose([axes.index(ids[p]) for p in net.free_legs])
+    if not out.flags.c_contiguous:
+        out = out.copy()
+    return tuple((f"{node}.{leg}", dim) for (node, leg), dim in zip(net.free_legs, out.shape)), out
+
+
+def matrix_network(rng, kind, n):
+    """n rank-2 nodes in a line, each line of dim 1-5, each node wired by a random leg.
+
+    ``open`` leaves the two end legs free, ``ring`` closes the line (n=2 joins
+    two nodes by both legs), ``cut`` cuts a ring open and closes it with a ket
+    and a bra, and ``loose`` drops some lines so that nodes keep free legs.
+    """
+    dims = [int(rng.integers(1, 6)) for _ in range(n)]  # line k joins node k to k+1
+    nodes, ends = {}, []
+    for k in range(n):
+        legs = [("out", dims[k]), ("in", dims[k - 1])]
+        if rng.random() < 0.5:
+            legs.reverse()
+        nodes[f"n{k}"] = Tensor(legs, random_array(rng, [dim for _, dim in legs]))
+        ends.append(((f"n{k}", "out"), (f"n{(k + 1) % n}", "in")))
+    edges = [(q, p) if rng.random() < 0.5 else (p, q) for p, q in ends]
+    if kind in ("open", "loose"):
+        dropped = [k for k in range(n - 1) if kind == "loose" and rng.random() < 0.3]
+        free = [leg for k in [n - 1, *dropped] for leg in edges[k]]
+        kept = [e for k, e in enumerate(edges[:-1]) if k not in dropped]
+        return Network(nodes, kept, [free[int(i)] for i in rng.permutation(len(free))])
+    net = Network(nodes, edges)
+    if kind == "ring":
+        return net
+    p, q = net.edges[int(rng.integers(n))]
+    d = net._dim_of(p)
+    return net.cut_edge((p, q)).insert_ket(q, random_state(rng, d)).insert_bra(p, random_state(rng, d))
+
+
+class TestMatrixMerge:
+    @settings(max_examples=400)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["open", "ring", "cut", "loose", "random"]),
+           n=st.integers(2, 8), data=st.data())
+    def test_equals_the_general_loop_bit_for_bit(self, seed, kind, n, data):
+        rng = np.random.default_rng(seed)
+        net = random_network(rng) if kind == "random" else matrix_network(rng, kind, n)
+        order = data.draw(st.permutations(range(len(net.edges))), label="order")
+        for got, (legs, want) in ((net.contract(), reference_contract(net)),
+                                  (net.contract(order=order), reference_contract(net, order))):
+            assert got.legs == legs
+            assert got.data.tobytes() == want.tobytes()
+
+
 class TestCutEdge:
     def test_cut_self_loop_recovers_matrix(self):
         rng = np.random.default_rng(12)
