@@ -122,7 +122,7 @@ def _cmd_verify(doc: dsl.Document, options: dict) -> tuple[str, int]:
 
 
 def _cmd_contract(doc: dsl.Document, options: dict) -> tuple[str, int]:
-    if not doc.has_network():
+    if not doc.node_refs:
         raise ValueError("document declares no network nodes")
     result = doc.network().contract()
     lines = ["legs" + "".join(f" {name}" for name, _ in result.legs)]

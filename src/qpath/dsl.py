@@ -23,12 +23,15 @@ must precede anything that needs it.
 Each declaration kind has one rule in ``_RULES``, chosen by a line's first
 word: a pattern for the rest of the line, a handler that checks the match
 against the declarations before it and records the result, and the printed
-form of the kind's declarations, which ``pretty_print`` writes.
+form of the kind's declarations, which ``pretty_print`` writes. Gates and
+states share one handler, bound to its kind in the table.
 
-A bracketed literal is read with one ``_RE_STRUCTURE`` scan for its ``[``,
-``]`` and ``,`` characters, which splits it at depth 0 (a matrix into rows,
-each row into entries), then one ``_RE_COMPLEX`` match per entry; no other
-character is visited in Python.
+One reader, ``parse_literal``, handles both depths: a state's ``[c, ...]``
+and a gate's ``[[c, ...], ...]``, whose rows it reads as depth-1 literals.
+Each level is split at depth 0 by one ``_RE_STRUCTURE`` scan for its ``[``,
+``]`` and ``,`` characters, then each entry is one ``_RE_COMPLEX`` match; no
+other character is visited in Python. A blank entry (``[1, ]``) is reported
+as a missing literal, at the ``,`` or ``]`` that ends it.
 
 Parsing is total: it never raises on text input. On failure the result
 carries every diagnostic found, each with a 1-based line and column, and no
@@ -150,9 +153,6 @@ class Document:
             raise ValueError(f"unknown circuit '{name}'")
         return [self.gates[token] for token in self.circuits[name]]
 
-    def has_network(self) -> bool:
-        return bool(self.node_refs)
-
     def network(self) -> tensornet.Network:
         """Build the declared node/edge/free wiring as a Network."""
         nodes = {}
@@ -190,10 +190,9 @@ class _Parser:
         self.diags.append(Diagnostic("error", message, self.lineno, max(column, 1), self.excerpt))
 
     def run(self) -> ParseResult:
-        self.lines = self.source.split("\n")
-        for lineno, raw in enumerate(self.lines, 1):
-            self.lineno = lineno
-            self.excerpt = raw[:-1] if raw.endswith("\r") else raw
+        # A line's excerpt drops the "\r" of a "\r\n" ending and nothing else.
+        self.excerpts = [raw[:-1] if raw.endswith("\r") else raw for raw in self.source.split("\n")]
+        for self.lineno, self.excerpt in enumerate(self.excerpts, 1):
             line = self.excerpt.split("#", 1)[0]
             if line.strip():
                 self.parse_line(line)
@@ -230,7 +229,7 @@ class _Parser:
             return True
         return False
 
-    # -- one handler per kind: return (name, payload) to record, or None ---
+    # -- the handlers: return (name, payload) to record, or None ----------
 
     def parse_dim(self, m: re.Match, col: int):
         token = m["val"]
@@ -243,37 +242,24 @@ class _Parser:
         self.doc.dim = int(token)
         return None, self.doc.dim
 
-    def parse_gate(self, m: re.Match, col: int):
-        if self.is_duplicate("gate", m, self.doc.gates):
+    def parse_array(self, m: re.Match, col: int, kind: str):
+        table, depth = (self.doc.gates, 2) if kind == "gate" else (self.doc.states, 1)
+        if self.is_duplicate(kind, m, table):
             return None
         body_col = m.start("body") + 1
-        rows = self.parse_matrix_literal(m["body"], body_col)
-        if not self.require_dim(col) or rows is None:
+        value = self.parse_literal(m["body"], body_col, depth)
+        if not self.require_dim(col) or value is None:
             return None
         name, d = m["name"], self.doc.dim
-        if len(rows) != d or any(len(r) != d for r in rows):
-            shape = f"{len(rows)}x{len(rows[0]) if rows else 0}"
-            self.error(f"dimension mismatch: gate '{name}' must be {d}x{d}, got {shape}", body_col)
+        if len(value) != d or (depth == 2 and len(value[0]) != d):
+            if depth == 2:
+                want, got = f"be {d}x{d}", f"{len(value)}x{len(value[0]) if value else 0}"
+            else:
+                want, got = f"have {d} entries", len(value)
+            self.error(f"dimension mismatch: {kind} '{name}' must {want}, got {got}", body_col)
             return None
-        self.doc.gates[name] = np.array(rows, dtype=complex)
-        return name, self.doc.gates[name]
-
-    def parse_state(self, m: re.Match, col: int):
-        if self.is_duplicate("state", m, self.doc.states):
-            return None
-        body_col = m.start("body") + 1
-        entries = self.parse_vector_literal(m["body"], body_col)
-        if not self.require_dim(col) or entries is None:
-            return None
-        name, d = m["name"], self.doc.dim
-        if len(entries) != d:
-            self.error(
-                f"dimension mismatch: state '{name}' must have {d} entries, got {len(entries)}",
-                body_col,
-            )
-            return None
-        self.doc.states[name] = np.array(entries, dtype=complex)
-        return name, self.doc.states[name]
+        table[name] = np.array(value, dtype=complex)
+        return name, table[name]
 
     def parse_circuit(self, m: re.Match, col: int):
         if self.is_duplicate("circuit", m, self.doc.circuits) or not self.require_dim(col):
@@ -339,7 +325,7 @@ class _Parser:
         for decl in self.doc.declarations:
             if decl.kind != "node":
                 continue
-            self.lineno, self.excerpt = decl.line, self.lines[decl.line - 1].rstrip("\r")
+            self.lineno, self.excerpt = decl.line, self.excerpts[decl.line - 1]
             kind, _ = decl.payload
             for leg in _LEGS[kind]:
                 if (decl.name, leg) not in self.used_legs:
@@ -379,43 +365,32 @@ class _Parser:
             return []
         return items
 
-    def parse_vector_literal(self, text: str, base_col: int) -> list[complex] | None:
+    def parse_literal(self, text: str, base_col: int, depth: int) -> list | None:
+        """Read ``[c, ...]`` (depth 1) or ``[[c, ...], ...]`` (depth 2); None after an error."""
         items = self.split_bracketed(text, base_col)
         if items is None:
             return None
-        out = []
-        ok = True
-        for item_text, item_col in items:
-            value = parse_complex_literal(item_text)
-            if value is None or not cmath.isfinite(value):
-                problem = "malformed" if value is None else "non-finite"
-                entry = item_text.lstrip()
-                column = item_col + len(item_text) - len(entry)
-                self.error(f"{problem} complex literal '{entry.rstrip()}'", column)
+        out, ok = [], True
+        for item, item_col in items:
+            if depth == 2:  # a row, read from its first non-blank column
+                row = item.lstrip()
+                value = self.parse_literal(row, item_col + len(item) - len(row), 1)
+            else:
+                value = parse_complex_literal(item)
+                if value is None or not cmath.isfinite(value):
+                    entry = item.strip()
+                    problem = "malformed" if value is None else "non-finite"
+                    message = f"{problem} complex literal '{entry}'" if entry else "missing complex literal"
+                    self.error(message, item_col + len(item) - len(item.lstrip()))
+                    value = None
+            if value is None:
                 ok = False
             else:
                 out.append(value)
-        return out if ok else None
-
-    def parse_matrix_literal(self, text: str, base_col: int) -> list[list[complex]] | None:
-        rows_raw = self.split_bracketed(text, base_col)
-        if rows_raw is None:
-            return None
-        rows: list[list[complex]] = []
-        ok = True
-        for row_text, row_col in rows_raw:
-            offset = row_col + (len(row_text) - len(row_text.lstrip()))
-            row = self.parse_vector_literal(row_text.strip(), offset)
-            if row is None:
-                ok = False
-            else:
-                rows.append(row)
-        if not ok:
-            return None
-        if rows and any(len(r) != len(rows[0]) for r in rows):
+        if ok and depth == 2 and any(len(row) != len(out[0]) for row in out):
             self.error("ragged matrix row", base_col)
             return None
-        return rows
+        return out if ok else None
 
 
 def _vector(values) -> str:
@@ -426,9 +401,9 @@ def _vector(values) -> str:
 _RULES = {
     "dim": (re.compile(r"\s+(?P<val>\S+)\s*"), _Parser.parse_dim,
             lambda decl: f"dim {decl.payload}"),
-    "gate": (_RE_NAMED, _Parser.parse_gate,
+    "gate": (_RE_NAMED, lambda parser, m, col: parser.parse_array(m, col, "gate"),
              lambda decl: f"gate {decl.name} = [{', '.join(map(_vector, decl.payload))}]"),
-    "state": (_RE_NAMED, _Parser.parse_state,
+    "state": (_RE_NAMED, lambda parser, m, col: parser.parse_array(m, col, "state"),
               lambda decl: f"state {decl.name} = {_vector(decl.payload)}"),
     "circuit": (_RE_NAMED, _Parser.parse_circuit,
                 lambda decl: f"circuit {decl.name} = " + " ".join(decl.payload)),

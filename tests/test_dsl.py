@@ -1,7 +1,9 @@
 """Document parsing: grammar, diagnostics, literals, round-tripping, fuzz."""
 
+import cmath
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -201,6 +203,27 @@ class TestDiagnostics:
     def test_empty_gate_is_a_dimension_mismatch(self):
         assert messages(dsl.parse("dim 2\ngate G = []\n")) == [
             "dimension mismatch: gate 'G' must be 2x2, got 0x0"
+        ]
+
+    @pytest.mark.parametrize("line,columns", [
+        ("state s = [1,  ]", [16]),
+        ("gate G = [[1,,0],[0,1]]", [14]),
+        ("state s = [,]", [12, 13]),
+    ])
+    def test_blank_entry_is_a_missing_literal_at_its_end(self, line, columns):
+        # the column is the "," or "]" that ends the blank entry
+        result = dsl.parse(f"dim 2\n{line}\n")
+        assert [(d.message, d.line, d.column) for d in result.diagnostics] == [
+            ("missing complex literal", 2, column) for column in columns
+        ]
+
+    def test_every_diagnostic_on_a_line_quotes_the_same_excerpt(self):
+        # only the "\r" of the "\r\n" ending is dropped, for dangling legs as for the rest
+        src = "dim 2\ngate G = [[1, 0], [0, 1]]\nnode a : G\r\r\nnode a : G\r\r\n"
+        assert [(d.message, d.line, d.excerpt) for d in dsl.parse(src).diagnostics] == [
+            ("duplicate declaration of node 'a'", 4, "node a : G\r"),
+            ("dangling leg 'a.in'", 3, "node a : G\r"),
+            ("dangling leg 'a.out'", 3, "node a : G\r"),
         ]
 
     def test_failure_returns_no_partial_document(self):
@@ -466,6 +489,150 @@ BRACKETED = st.one_of(_FLAT, _NESTED, st.tuples(_NESTED, _FLAT, _NESTED).map("".
 def test_split_bracketed_matches_character_loop(text, base_col):
     assert (split_with(dsl._Parser.split_bracketed, text, base_col)
             == split_with(reference_split_bracketed, text, base_col))
+
+
+# -- the twin readers and handlers ``parse_literal`` and ``parse_array`` replaced,
+# kept as their oracle
+
+def reference_vector_literal(parser, text: str, base_col: int):
+    items = parser.split_bracketed(text, base_col)
+    if items is None:
+        return None
+    out = []
+    ok = True
+    for item_text, item_col in items:
+        value = dsl.parse_complex_literal(item_text)
+        if value is None or not cmath.isfinite(value):
+            problem = "malformed" if value is None else "non-finite"
+            entry = item_text.lstrip()
+            column = item_col + len(item_text) - len(entry)
+            parser.error(f"{problem} complex literal '{entry.rstrip()}'", column)
+            ok = False
+        else:
+            out.append(value)
+    return out if ok else None
+
+
+def reference_matrix_literal(parser, text: str, base_col: int):
+    rows_raw = parser.split_bracketed(text, base_col)
+    if rows_raw is None:
+        return None
+    rows = []
+    ok = True
+    for row_text, row_col in rows_raw:
+        offset = row_col + (len(row_text) - len(row_text.lstrip()))
+        row = reference_vector_literal(parser, row_text.strip(), offset)
+        if row is None:
+            ok = False
+        else:
+            rows.append(row)
+    if not ok:
+        return None
+    if rows and any(len(r) != len(rows[0]) for r in rows):
+        parser.error("ragged matrix row", base_col)
+        return None
+    return rows
+
+
+def reference_gate(parser, m, col):
+    if parser.is_duplicate("gate", m, parser.doc.gates):
+        return None
+    body_col = m.start("body") + 1
+    rows = reference_matrix_literal(parser, m["body"], body_col)
+    if not parser.require_dim(col) or rows is None:
+        return None
+    name, d = m["name"], parser.doc.dim
+    if len(rows) != d or any(len(r) != d for r in rows):
+        shape = f"{len(rows)}x{len(rows[0]) if rows else 0}"
+        parser.error(f"dimension mismatch: gate '{name}' must be {d}x{d}, got {shape}", body_col)
+        return None
+    parser.doc.gates[name] = np.array(rows, dtype=complex)
+    return name, parser.doc.gates[name]
+
+
+def reference_state(parser, m, col):
+    if parser.is_duplicate("state", m, parser.doc.states):
+        return None
+    body_col = m.start("body") + 1
+    entries = reference_vector_literal(parser, m["body"], body_col)
+    if not parser.require_dim(col) or entries is None:
+        return None
+    name, d = m["name"], parser.doc.dim
+    if len(entries) != d:
+        parser.error(
+            f"dimension mismatch: state '{name}' must have {d} entries, got {len(entries)}",
+            body_col,
+        )
+        return None
+    parser.doc.states[name] = np.array(entries, dtype=complex)
+    return name, parser.doc.states[name]
+
+
+REFERENCE_RULES = {
+    kind: (dsl._RULES[kind][0], handler, dsl._RULES[kind][2])
+    for kind, handler in (("gate", reference_gate), ("state", reference_state))
+}
+
+
+def parse_summary(source: str, rules=None):
+    """Everything a parse shows, with the arrays stored before any failure too."""
+    parser = dsl._Parser(source)
+    with mock.patch.dict(dsl._RULES, rules or {}):
+        result = parser.run()
+    doc = parser.doc
+    return (
+        [(d.severity, d.message, d.line, d.column, d.excerpt) for d in result.diagnostics],
+        [(d.kind, d.name, d.line, d.column) for d in doc.declarations],
+        [(name, a.dtype.str, a.shape, a.tobytes())
+         for table in (doc.gates, doc.states) for name, a in table.items()],
+        dsl.pretty_print(doc) if result.ok else None,
+    )
+
+
+_GOOD_ENTRY = st.sampled_from(["1", "-i", " 2+3i ", "1/sqrt2", "\t0.5-0.25i", "-0", "1e-300"])
+# blank, malformed, non-finite, nested and unbalanced entries
+_ANY_ENTRY = st.one_of(_GOOD_ENTRY, st.sampled_from(
+    ["", " ", "x", "1.5x", "1e999", "-2e400i", "inf", "nan", "[1]", "[]", "[", "]"]
+))
+
+
+@st.composite
+def array_documents(draw):
+    """``gate`` and ``state`` lines of right and wrong sizes, after a ``dim`` or none."""
+    d = draw(st.integers(1, 3))
+    size = st.one_of(st.just(d), st.integers(0, 4))
+    pad = st.sampled_from(["", " ", "\t"])
+    lines = [] if draw(st.integers(0, 5)) == 0 else [f"dim {d}"]
+    for _ in range(draw(st.integers(1, 4))):
+        entries = draw(st.sampled_from([_GOOD_ENTRY, _ANY_ENTRY]))
+
+        def row():
+            n = draw(size)
+            return draw(pad) + "[" + ",".join(draw(st.lists(entries, min_size=n, max_size=n))) + "]"
+
+        kind = draw(st.sampled_from(["gate", "state"]))
+        # a gate's rows are drawn one by one, so some are ragged
+        body = "[" + ",".join(row() for _ in range(draw(size))) + "]" if kind == "gate" else row()
+        # at times one bracket or comma inserted, or one character dropped
+        at, edit = draw(st.integers(0, len(body))), draw(st.sampled_from(["", "", "", "[", "]", ",", "-"]))
+        body = body[:at] + body[at + 1:] if edit == "-" else body[:at] + edit + body[at:]
+        name, end = draw(st.sampled_from(["G", "s"])), draw(st.sampled_from(["", " # note", "\r"]))
+        lines.append(f"{kind} {name} = {body}{end}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=500)
+@given(array_documents())
+def test_array_lines_match_the_twin_readers(source):
+    diags, *rest = parse_summary(source)
+    old_diags, *old_rest = parse_summary(source, REFERENCE_RULES)
+    # the one intended change: a blank entry is named as missing
+    old_diags = [
+        (sev, "missing complex literal" if msg == "malformed complex literal ''" else msg, *where)
+        for sev, msg, *where in old_diags
+    ]
+    assert diags == old_diags
+    assert rest == old_rest
 
 
 # the lazy body ``_RE_NAMED`` had before its greedy one, kept as its oracle
