@@ -30,8 +30,8 @@ One reader, ``parse_literal``, handles both depths: a state's ``[c, ...]``
 and a gate's ``[[c, ...], ...]``, whose rows it reads as depth-1 literals.
 Each level is split at depth 0 by one ``_RE_STRUCTURE`` scan for its ``[``,
 ``]`` and ``,`` characters, then each entry is one ``_RE_COMPLEX`` match; no
-other character is visited in Python. A blank entry (``[1, ]``) is reported
-as a missing literal, at the ``,`` or ``]`` that ends it.
+other character is visited in Python. A blank entry (``[1, ]``) or gate row
+(``[[1], ]``) is reported as missing, at the ``,`` or ``]`` that ends it.
 
 Parsing is total: it never raises on text input. On failure the result
 carries every diagnostic found, each with a 1-based line and column, and no
@@ -372,16 +372,18 @@ class _Parser:
             return None
         out, ok = [], True
         for item, item_col in items:
-            if depth == 2:  # a row, read from its first non-blank column
-                row = item.lstrip()
-                value = self.parse_literal(row, item_col + len(item) - len(row), 1)
-            else:
-                value = parse_complex_literal(item)
-                if value is None or not cmath.isfinite(value):
-                    entry = item.strip()
+            value = parse_complex_literal(item) if depth == 1 else None
+            if value is None or not cmath.isfinite(value):
+                # A row, or a bad entry, starts at its first non-blank column; a blank one is
+                # placed at the "," or "]" that ends it.
+                entry, col = item.strip(), item_col + len(item) - len(item.lstrip())
+                if not entry:
+                    self.error("missing matrix row" if depth == 2 else "missing complex literal", col)
+                elif depth == 2:
+                    value = self.parse_literal(entry, col, 1)
+                else:
                     problem = "malformed" if value is None else "non-finite"
-                    message = f"{problem} complex literal '{entry}'" if entry else "missing complex literal"
-                    self.error(message, item_col + len(item) - len(item.lstrip()))
+                    self.error(f"{problem} complex literal '{entry}'", col)
                     value = None
             if value is None:
                 ok = False

@@ -11,19 +11,20 @@ never mutate the receiver. Public constructors (``Tensor(...)``,
 ``from_matrix``, ``from_state``, ``Network(...)``) check everything; surgery,
 ``trace_network`` and ``contract`` check only what they add, build from parts
 already checked and never re-validate their results. ``Network.contract``
-gives every leg an integer id, merges components pair by pair in edge-list
-order, sums every line the two share with one transpose, reshape and
-``np.dot`` (numpy's ``tensordot`` arithmetic, bit for bit), and removes
-self-loops by a partial trace. Two matrices sharing one line skip the
-transpose and reshape: one ``np.dot`` takes each array or its transpose, the
-operands ``tensordot`` would pass; ``brute_force_contract`` is an intentionally
-naive all-index-assignment summation kept as an independent oracle, sharing no
-code with the engine.
+replays a plan that ``_plan`` works out once per wiring and caches. The plan
+merges components pair by pair in edge-list order, sums every line the two
+share with one transpose, reshape and ``np.dot`` (numpy's ``tensordot``
+arithmetic, bit for bit), passes two matrices sharing one line to ``np.dot``
+as they are or transposed, and removes self-loops by a partial trace; it
+follows the listed order, so there is no cost-based planner.
+``brute_force_contract`` is an intentionally naive all-index-assignment
+summation kept as an independent oracle, sharing no code with the engine.
 """
 
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import math
 
@@ -143,6 +144,83 @@ def _check_line(p: EndPoint, dp: int, q: EndPoint, dq: int) -> None:
         )
 
 
+_PLANS = 128  # wirings whose contraction plans ``_plan`` keeps
+
+
+@functools.lru_cache(maxsize=_PLANS)
+def _plan(nodes, edges, free_legs, schedule):
+    """``Network.contract``'s steps for one wiring: each node's (id, legs), edges, free legs, order.
+
+    Node k's array fills slot k. A step ``(c, d, x, y, n, shape)`` sets slot
+    c to: if d == c, its trace over axes x and y; if n == 0, ``np.dot`` of it
+    and slot d, each as is where x (y) is true and else transposed; otherwise
+    ``np.dot(c.transpose(x).reshape(-1, n), d.transpose(y).reshape(n, -1)).reshape(shape)``.
+    Returns the steps, the slots left for the outer product, its free-leg
+    permutation and the output legs, checked for unique names. Legs get integer
+    ids in node then leg order. ``owner[i]`` is the slot holding axis i, or -1
+    once its line is eliminated; ``partner[i]`` is the id across i's edge, or
+    -1 for a free leg, which reads the trailing ``owner`` entry, -1.
+    """
+    ids, comp, owner, dims = {}, {}, [], []
+    for key, (node_id, legs) in enumerate(nodes):
+        comp[key] = list(range(len(owner), len(owner) + len(legs)))
+        for leg_name, dim in legs:
+            ids[(node_id, leg_name)] = len(owner)
+            owner.append(key)
+            dims.append(dim)
+    partner = [-1] * len(owner)
+    owner.append(-1)
+    for p, q in edges:
+        partner[ids[p]], partner[ids[q]] = ids[q], ids[p]
+    steps = []
+    for e in schedule:
+        p, q = (ids[end] for end in edges[e])
+        cp, cq = owner[p], owner[q]
+        if cp < 0:
+            continue
+        la = comp[cp]
+        if cp == cq:
+            steps.append((cp, cp, la.index(p), la.index(q), 0, None))
+            comp[cp] = [x for x in la if x != p and x != q]
+            owner[p] = owner[q] = -1
+            continue
+        lb = comp.pop(cq)
+        # Every line between the two components, found from the smaller
+        # in its axis order: that order is the order the dot sums in.
+        flip = len(lb) < len(la)
+        small, big, other = (lb, la, cp) if flip else (la, lb, cq)
+        ks, ms = [], []
+        for k, x in enumerate(small):
+            y = partner[x]
+            if owner[y] == other:
+                ks.append(k)
+                ms.append(big.index(y))
+                owner[x] = owner[y] = -1
+        ia, ib = (ms, ks) if flip else (ks, ms)
+        keep_a, keep_b, axes = [], [], []
+        for k, x in enumerate(la):
+            if owner[x] >= 0:
+                keep_a.append(k)
+                axes.append(x)
+        for k, x in enumerate(lb):
+            if owner[x] >= 0:
+                keep_b.append(k)
+                axes.append(x)
+                owner[x] = cp
+        pa, pb = tuple(keep_a + ia), tuple(ib + keep_b)
+        if len(pa) == 2 == len(pb) and len(ia) == 1:
+            # Two matrices sharing one line: the dot's operands are a or a.T and b or b.T themselves.
+            steps.append((cp, cq, pa == (0, 1), pb == (0, 1), 0, None))
+        else:
+            steps.append((cp, cq, pa, pb, math.prod(dims[lb[k]] for k in ib), tuple(dims[x] for x in axes)))
+        comp[cp] = axes
+    axes = [x for part in comp.values() for x in part]
+    perm = tuple(axes.index(ids[p]) for p in free_legs)
+    # Distinct (node, leg) pairs can still join to one name ("a.b" + "c", "a" + "b.c").
+    out_legs = _unique(tuple((f"{node}.{leg}", dims[ids[(node, leg)]]) for node, leg in free_legs))
+    return tuple(steps), tuple(comp), perm, out_legs
+
+
 class Network:
     """Tensors wired into a graph with free legs.
 
@@ -212,12 +290,12 @@ class Network:
         components, every line between them is summed in one merge (the
         transpose, reshape and ``np.dot`` that numpy's ``tensordot`` makes),
         and edges already eliminated that way are skipped when their turn
-        comes. Two rank-2 components sharing one line skip the transpose and
-        reshape: one ``np.dot`` takes their own or transposed views, the
-        operands ``tensordot`` would pass. Self-loops on a single node are
-        removed by a partial trace. Disconnected remainders are combined by
-        an outer product. ``order`` optionally gives a permutation of edge
-        indices to process; any permutation yields the same result up to
+        comes; two matrices sharing one line go to ``np.dot`` as they are or
+        transposed. Self-loops are removed by a partial trace, disconnected
+        remainders combined by an outer product. ``_plan`` works these steps
+        out once per wiring and ``order`` and caches them; each call replays
+        them on the node arrays. ``order`` optionally gives a permutation of
+        edge indices to process; any permutation yields the same result up to
         float reassociation. A network with no free legs contracts to a
         rank-0 tensor. If an entry overflows double precision, a
         NetworkError names the first one by the key ``qpath contract``
@@ -229,98 +307,28 @@ class Network:
             schedule = [linalg._integer("order entry", i) for i in order]
             if sorted(schedule) != list(range(len(self.edges))):
                 raise ValueError("order must be a permutation of edge indices")
-
-        # Every (node, leg) gets an integer id, in node then leg order. Every
-        # node starts as its own component: key -> (array, axis ids).
-        # ``owner[i]`` is the key of the component holding axis i, or -1 once
-        # its line is eliminated; ``partner[i]`` is the id across i's edge, or
-        # -1 for a free leg, which reads the trailing ``owner`` entry, -1.
-        ids: dict[EndPoint, int] = {}
-        comp: dict[int, tuple[np.ndarray, list[int]]] = {}
-        owner: list[int] = []
-        for key, (node_id, tensor) in enumerate(self.nodes.items()):
-            comp[key] = (tensor.data, list(range(len(owner), len(owner) + len(tensor.legs))))
-            for leg_name, _ in tensor.legs:
-                ids[(node_id, leg_name)] = len(owner)
-                owner.append(key)
-        partner = [-1] * len(owner)
-        owner.append(-1)
-        lines = []
-        for p, q in self.edges:
-            p, q = ids[p], ids[q]
-            partner[p], partner[q] = q, p
-            lines.append((p, q))
-
-        for e in schedule:
-            p, q = lines[e]
-            cp, cq = owner[p], owner[q]
-            if cp < 0:
-                continue
-            if cp == cq:
-                arr, axes = comp[cp]
-                arr = np.trace(arr, axis1=axes.index(p), axis2=axes.index(q))
-                comp[cp] = (arr, [x for x in axes if x != p and x != q])
-                owner[p] = owner[q] = -1
-                continue
-            a, la = comp[cp]
-            b, lb = comp.pop(cq)
-            if len(la) == 2 == len(lb):
-                # Two matrices sharing p--q and no other line: the general
-                # path's dot operands are a or a.T and b or b.T themselves.
-                ka = la[0] if la[1] == p else la[1]
-                kb = lb[1] if lb[0] == q else lb[0]
-                if partner[ka] != kb:
-                    owner[p] = owner[q] = -1
-                    owner[kb] = cp
-                    at = a if ka == la[0] else a.T
-                    bt = b if kb == lb[1] else b.T
-                    comp[cp] = (np.dot(at, bt), [ka, kb])
-                    continue
-            # Every line between the two components, found from the smaller
-            # in its axis order: that order is the order the dot sums in.
-            flip = len(lb) < len(la)
-            small, big, other = (lb, la, cp) if flip else (la, lb, cq)
-            ks, ms = [], []
-            for k, x in enumerate(small):
-                y = partner[x]
-                if owner[y] == other:
-                    ks.append(k)
-                    ms.append(big.index(y))
-                    owner[x] = owner[y] = -1
-            ia, ib = (ms, ks) if flip else (ks, ms)
-            keep_a, keep_b, axes = [], [], []
-            for k, x in enumerate(la):
-                if owner[x] >= 0:
-                    keep_a.append(k)
-                    axes.append(x)
-            for k, x in enumerate(lb):
-                if owner[x] >= 0:
-                    keep_b.append(k)
-                    axes.append(x)
-                    owner[x] = cp
-            at = a.transpose(keep_a + ia)
-            bt = b.transpose(ib + keep_b)
-            n = math.prod(bt.shape[: len(ib)])
-            arr = np.dot(at.reshape(-1, n), bt.reshape(n, -1))
-            comp[cp] = (arr.reshape(at.shape[: len(keep_a)] + bt.shape[len(ib) :]), axes)
-
-        # Outer product of whatever components remain (disconnected pieces).
+        # Tuples from lists: one grown from a generator is resized, which fills CPython's tuple free lists.
+        steps, final, perm, out_legs = _plan(tuple([(node_id, t.legs) for node_id, t in self.nodes.items()]),
+                                             tuple(self.edges), tuple(self.free_legs), tuple(schedule))
+        arrs = [tensor.data for tensor in self.nodes.values()]
+        for c, d, x, y, n, shape in steps:
+            a, b = arrs[c], arrs[d]
+            if c == d:
+                arrs[c] = np.trace(a, axis1=x, axis2=y)
+            elif n == 0:
+                arrs[c] = np.dot(a if x else a.T, b if y else b.T)
+            else:
+                arrs[c] = np.dot(a.transpose(x).reshape(-1, n), b.transpose(y).reshape(n, -1)).reshape(shape)
         arr = np.ones((), dtype=complex)
-        axes = []
-        for part, part_axes in comp.values():
-            arr = np.multiply.outer(arr, part)
-            axes = axes + part_axes
-
-        perm = [axes.index(ids[p]) for p in self.free_legs]
+        for c in final:
+            arr = np.multiply.outer(arr, arrs[c])
         out = arr.transpose(perm)
         if not out.flags.c_contiguous:
             out = out.copy()
         if not np.isfinite(out).all():
             idx = tuple(np.argwhere(~np.isfinite(out))[0].tolist())
             raise NetworkError(_overflow(f"entry {_entry_key(idx)}", ("contraction", out[idx])))
-        # Distinct (node, leg) pairs can still join to one name ("a.b" + "c", "a" + "b.c").
-        out_legs = tuple((f"{node}.{leg}", dim) for (node, leg), dim in zip(self.free_legs, out.shape))
-        return Tensor._of_checked(_unique(out_legs), out)
+        return Tensor._of_checked(out_legs, out)
 
     # -- graph surgery -----------------------------------------------------
 

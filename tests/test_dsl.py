@@ -200,9 +200,10 @@ class TestDiagnostics:
             ("malformed bracketed literal", 2, column)
         ]
 
-    def test_empty_gate_is_a_dimension_mismatch(self):
-        assert messages(dsl.parse("dim 2\ngate G = []\n")) == [
-            "dimension mismatch: gate 'G' must be 2x2, got 0x0"
+    @pytest.mark.parametrize("body,shape", [("[]", "0x0"), ("[ ]", "0x0"), ("[[]]", "1x0")])
+    def test_empty_gate_is_a_dimension_mismatch(self, body, shape):
+        assert messages(dsl.parse(f"dim 2\ngate G = {body}\n")) == [
+            f"dimension mismatch: gate 'G' must be 2x2, got {shape}"
         ]
 
     @pytest.mark.parametrize("line,columns", [
@@ -215,6 +216,20 @@ class TestDiagnostics:
         result = dsl.parse(f"dim 2\n{line}\n")
         assert [(d.message, d.line, d.column) for d in result.diagnostics] == [
             ("missing complex literal", 2, column) for column in columns
+        ]
+
+    @pytest.mark.parametrize("line,columns", [
+        ("gate G = [[1,0],,[0,1]]", [17]),
+        ("gate G = [[1,0],[0,1],]", [23]),
+        ("gate G = [[1,0], \t,[0,1]]", [19]),
+        ("gate G = [,[0,1]]", [11]),
+        ("gate G = [,]", [11, 12]),
+    ])
+    def test_blank_gate_row_is_a_missing_row_at_its_end(self, line, columns):
+        # the column is the "," or "]" that ends the blank row
+        result = dsl.parse(f"dim 2\n{line}\n")
+        assert [(d.message, d.line, d.column) for d in result.diagnostics] == [
+            ("missing matrix row", 2, column) for column in columns
         ]
 
     def test_every_diagnostic_on_a_line_quotes_the_same_excerpt(self):
@@ -621,15 +636,24 @@ def array_documents(draw):
     return "\n".join(lines) + "\n"
 
 
+def blank_row_ends(excerpt: str) -> set[int]:
+    """Columns of the "," or "]" ending each blank row of a gate line's literal, by the reference splitter."""
+    m = re.fullmatch(r"\s*gate\s+\w+\s*=\s*(\S(?:.*\S)?)\s*", excerpt.split("#", 1)[0])
+    rows = m and reference_split_bracketed(dsl._Parser(""), m[1], m.start(1) + 1)
+    return {col + len(row) for row, col in rows or () if not row.strip()}
+
+
 @settings(max_examples=500)
 @given(array_documents())
 def test_array_lines_match_the_twin_readers(source):
     diags, *rest = parse_summary(source)
     old_diags, *old_rest = parse_summary(source, REFERENCE_RULES)
-    # the one intended change: a blank entry is named as missing
+    # the intended changes: a blank entry or gate row is named as missing
     old_diags = [
-        (sev, "missing complex literal" if msg == "malformed complex literal ''" else msg, *where)
-        for sev, msg, *where in old_diags
+        (sev, "missing complex literal" if msg == "malformed complex literal ''"
+         else "missing matrix row" if msg == "malformed bracketed literal" and col in blank_row_ends(excerpt)
+         else msg, line, col, excerpt)
+        for sev, msg, line, col, excerpt in old_diags
     ]
     assert diags == old_diags
     assert rest == old_rest

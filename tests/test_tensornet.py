@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpath import dsl, linalg
+from qpath import dsl, linalg, tensornet
 from qpath.tensornet import (
     Network,
     NetworkError,
@@ -547,6 +547,69 @@ class TestMatrixMerge:
             assert got.data.tobytes() == want.tobytes()
 
 
+def with_fresh_data(net, rng):
+    """The same wiring over new random arrays."""
+    nodes = {k: Tensor(t.legs, random_array(rng, t.data.shape)) for k, t in net.nodes.items()}
+    return Network(nodes, net.edges, net.free_legs)
+
+
+def two_node_chain(a, b, edge=(("a", "out"), ("b", "in")), free=(("b", "out"), ("a", "in"))):
+    """``a.out -- b.in``: the product b @ a over ``free``."""
+    return Network({"a": Tensor.from_matrix(a), "b": Tensor.from_matrix(b)}, [edge], free)
+
+
+class TestPlanCache:
+    @settings(max_examples=200)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["open", "ring", "cut", "loose", "random", "torus"]),
+           n=st.integers(2, 8), data=st.data())
+    def test_a_wiring_replays_its_plan_on_fresh_data(self, seed, kind, n, data):
+        rng = np.random.default_rng(seed)
+        if kind == "torus":
+            net, _ = torus(rng, 2, n % 3 + 2)
+        else:
+            net = random_network(rng) if kind == "random" else matrix_network(rng, kind, n)
+        order = data.draw(st.none() | st.permutations(range(len(net.edges))), label="order")
+        for again, this in enumerate((net, with_fresh_data(net, rng))):
+            hits = tensornet._plan.cache_info().hits
+            got = this.contract(order=order)
+            legs, want = reference_contract(this, order)
+            assert got.legs == legs
+            assert got.data.tobytes() == want.tobytes()
+            if again:
+                assert tensornet._plan.cache_info().hits == hits + 1
+
+    def test_each_wiring_gets_its_own_plan(self):
+        rng = np.random.default_rng(29)
+        a, b = random_matrix(rng, 3), random_matrix(rng, 3)
+        variants = [
+            two_node_chain(a, b),
+            two_node_chain(random_array(rng, (3, 4)), b),  # one leg dim: a.in is 4
+            Network({"a": Tensor([("out", 3), ("x", 3)], a), "b": Tensor.from_matrix(b)},
+                    [(("a", "out"), ("b", "in"))], [("b", "out"), ("a", "x")]),  # one leg name
+            two_node_chain(a, b, edge=(("b", "in"), ("a", "out"))),  # one edge's endpoint order
+            two_node_chain(a, b, free=(("a", "in"), ("b", "out"))),  # the free-leg order
+        ]
+        tensornet._plan.cache_clear()
+        for k, net in enumerate(variants + variants):
+            got = net.contract()
+            legs, want = reference_contract(net)
+            assert (got.legs, got.data.tobytes()) == (legs, want.tobytes())
+            assert linalg.max_abs_diff(got.data, brute_force_contract(net).data) <= 1e-12
+            assert tensornet._plan.cache_info().currsize == min(k + 1, len(variants))
+        assert tensornet._plan.cache_info().hits == len(variants)
+
+    def test_an_overflow_is_named_on_a_wiring_already_planned(self):
+        finite = two_node_chain(np.eye(2), np.eye(2)).contract()
+        assert finite.data.tobytes() == np.eye(2, dtype=complex).tobytes()
+        # (b @ a)[1, 0] = 1e300 * 1e300 is the first entry that overflows
+        big = two_node_chain([[1e300, 0], [0, 1]], [[1, 0], [1e300, 1]])
+        hits = tensornet._plan.cache_info().hits
+        with pytest.raises(NetworkError, match=r"^entry 1,0 overflows double precision: contraction "):
+            with np.errstate(over="ignore", invalid="ignore"):
+                big.contract()
+        assert tensornet._plan.cache_info().hits == hits + 1
+
+
 class TestCutEdge:
     def test_cut_self_loop_recovers_matrix(self):
         rng = np.random.default_rng(12)
@@ -644,8 +707,9 @@ class TestSurgeryChecks:
             {"a.b": Tensor([("c", 2)], [1, 2]), "a": Tensor([("b.c", 2)], [3, 4])},
             free_legs=[("a.b", "c"), ("a", "b.c")],
         )
-        with pytest.raises(NetworkError, match=r"duplicate leg names"):
-            net.contract()
+        for _ in range(2):  # a failed plan is not cached: the second call raises too
+            with pytest.raises(NetworkError, match=r"duplicate leg names"):
+                net.contract()
 
     def test_trace_network_checks_the_matrix_once(self, monkeypatch):
         as_matrix = linalg.as_matrix
