@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 parse error, 2 semantic error (unknown names,
 out-of-range indices, invalid inputs, a value that overflows double
-precision), 3 verification failure, 4 resource cap exceeded (paths, memory).
+precision), 3 verification failure, 4 resource cap exceeded (paths, contraction
+entries, memory).
 All numeric output uses 12-significant-digit scientific notation so command
 output is byte-identical across runs for the same document, command, and seed.
 """
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dsl, linalg, measure, pathsum
+from . import dsl, linalg, measure, pathsum, tensornet
 from .formatting import _entry_key, _overflow, pair12, sci12
 
 EXIT_OK = 0
@@ -181,7 +182,7 @@ def run_command(doc: dsl.Document, command: str, options: dict) -> tuple[str, in
 
     Returns (output text, exit code). This is the commands' only error
     boundary: it raises CommandError with exit code 4 for an exceeded path
-    cap or memory, and exit code 2 for every ValueError (unknown names,
+    cap, contraction entry cap or memory, and exit code 2 for every ValueError (unknown names,
     out-of-range indices, invalid inputs, values that overflow double precision).
     """
     if command not in _COMMANDS:
@@ -190,7 +191,7 @@ def run_command(doc: dsl.Document, command: str, options: dict) -> tuple[str, in
         # Commands report overflow by name once it reaches a result, not as numpy warnings.
         with np.errstate(over="ignore", invalid="ignore"):
             return _COMMANDS[command][0](doc, options)
-    except (pathsum.PathCapExceeded, MemoryError) as exc:
+    except (pathsum.PathCapExceeded, tensornet.ContractionCapExceeded, MemoryError) as exc:
         raise CommandError(EXIT_CAP, str(exc) or "out of memory") from exc
     except ValueError as exc:
         raise CommandError(EXIT_SEMANTIC, str(exc)) from exc

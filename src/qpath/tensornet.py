@@ -11,12 +11,15 @@ never mutate the receiver. Public constructors (``Tensor(...)``,
 ``from_matrix``, ``from_state``, ``Network(...)``) check everything; surgery,
 ``trace_network`` and ``contract`` check only what they add, build from parts
 already checked and never re-validate their results. ``Network.contract``
-replays a plan that ``_plan`` works out once per wiring and caches. The plan
-merges components pair by pair in edge-list order, sums every line the two
-share with one transpose, reshape and ``np.dot`` (numpy's ``tensordot``
-arithmetic, bit for bit), passes two matrices sharing one line to ``np.dot``
-as they are or transposed, and removes self-loops by a partial trace; it
-follows the listed order, so there is no cost-based planner.
+replays a plan that ``_plan`` works out once per wiring and caches. Given no
+order, the plan takes at each step the edge whose trace or merge leaves the
+fewest entries (the size-greedy rule of opt_einsum; ties go to the lower edge
+index, so a ring or chain keeps its listed order). It merges components pair
+by pair, sums every line the two share with one transpose, reshape and
+``np.dot`` (numpy's ``tensordot`` arithmetic, bit for bit), passes two
+matrices sharing one line to ``np.dot`` as they are or transposed, and
+removes self-loops by a partial trace. A plan whose largest array would
+exceed ``ENTRY_CAP`` entries is refused before any arithmetic.
 ``brute_force_contract`` is an intentionally naive all-index-assignment
 summation kept as an independent oracle, sharing no code with the engine.
 """
@@ -34,6 +37,8 @@ from . import linalg
 from .formatting import _entry_key, _overflow
 
 __all__ = [
+    "ENTRY_CAP",
+    "ContractionCapExceeded",
     "NetworkError",
     "Tensor",
     "Network",
@@ -146,20 +151,44 @@ def _check_line(p: EndPoint, dp: int, q: EndPoint, dq: int) -> None:
 
 _PLANS = 128  # wirings whose contraction plans ``_plan`` keeps
 
+#: The most entries (complex128, 16 bytes each) that one step of a contraction
+#: plan, or its output, may make: 2**24 entries are 256 MiB.
+ENTRY_CAP = 2**24
+
+
+class ContractionCapExceeded(RuntimeError):
+    """A contraction plan would make an array with more entries than ``ENTRY_CAP``."""
+
+
+def _over_cap(what: str, shape: tuple[int, ...]) -> int:
+    """The entry count of ``shape``, checked against ``ENTRY_CAP``."""
+    entries = math.prod(shape)
+    if entries > ENTRY_CAP:
+        raise ContractionCapExceeded(
+            f"{what} makes an array of shape {shape}, {entries} entries, exceeding the cap of {ENTRY_CAP}"
+        )
+    return entries
+
 
 @functools.lru_cache(maxsize=_PLANS)
-def _plan(nodes, edges, free_legs, schedule):
+def _plan(nodes, edges, free_legs, order):
     """``Network.contract``'s steps for one wiring: each node's (id, legs), edges, free legs, order.
 
+    With ``order`` None the plan picks the schedule: each step takes the live
+    edge whose trace or merge leaves the fewest entries, the lowest edge index
+    on a tie, so a wiring on which every candidate ties keeps its listed order.
     Node k's array fills slot k. A step ``(c, d, x, y, n, shape)`` sets slot
     c to: if d == c, its trace over axes x and y; if n == 0, ``np.dot`` of it
     and slot d, each as is where x (y) is true and else transposed; otherwise
     ``np.dot(c.transpose(x).reshape(-1, n), d.transpose(y).reshape(n, -1)).reshape(shape)``.
     Returns the steps, the slots left for the outer product, its free-leg
-    permutation and the output legs, checked for unique names. Legs get integer
-    ids in node then leg order. ``owner[i]`` is the slot holding axis i, or -1
-    once its line is eliminated; ``partner[i]`` is the id across i's edge, or
-    -1 for a free leg, which reads the trailing ``owner`` entry, -1.
+    permutation, the output legs (checked for unique names), the schedule as a
+    permutation of edge indices, and the peak: the most entries of any step's
+    result or of the output. Raises ContractionCapExceeded, before any array
+    is made, if the peak is over ``ENTRY_CAP``. Legs get integer ids in node
+    then leg order. ``owner[i]`` is the slot holding axis i, or -1 once its
+    line is eliminated; ``partner[i]`` is the id across i's edge, or -1 for a
+    free leg, which reads the trailing ``owner`` entry, -1.
     """
     ids, comp, owner, dims = {}, {}, [], []
     for key, (node_id, legs) in enumerate(nodes):
@@ -170,11 +199,37 @@ def _plan(nodes, edges, free_legs, schedule):
             dims.append(dim)
     partner = [-1] * len(owner)
     owner.append(-1)
-    for p, q in edges:
-        partner[ids[p]], partner[ids[q]] = ids[q], ids[p]
-    steps = []
-    for e in schedule:
-        p, q = (ids[end] for end in edges[e])
+    lines = [(ids[p], ids[q]) for p, q in edges]
+    for p, q in lines:
+        partner[p], partner[q] = q, p
+
+    def cheapest():
+        # A merge sums every line the two components share, so its cost is per pair.
+        while True:
+            size = {c: math.prod(dims[x] for x in la) for c, la in comp.items()}
+            shared = {}
+            for p, q in lines:
+                pair = (owner[p], owner[q])
+                shared[pair] = shared.get(pair, 1) * dims[p]
+            best = None
+            for e, (p, q) in enumerate(lines):
+                cp, cq = owner[p], owner[q]
+                if cp < 0:
+                    continue
+                if cp == cq:
+                    left = size[cp] // dims[p] ** 2
+                else:
+                    left = size[cp] * size[cq] // (shared.get((cp, cq), 1) * shared.get((cq, cp), 1)) ** 2
+                if best is None or left < best[0]:
+                    best = (left, e)
+            if best is None:
+                return
+            yield best[1]
+
+    steps, schedule, peak = [], [], 0
+    for e in cheapest() if order is None else order:
+        schedule.append(e)
+        p, q = lines[e]
         cp, cq = owner[p], owner[q]
         if cp < 0:
             continue
@@ -183,6 +238,8 @@ def _plan(nodes, edges, free_legs, schedule):
             steps.append((cp, cp, la.index(p), la.index(q), 0, None))
             comp[cp] = [x for x in la if x != p and x != q]
             owner[p] = owner[q] = -1
+            shape = tuple(dims[x] for x in comp[cp])
+            peak = max(peak, _over_cap(f"contraction step {len(steps)} (edge {e}, a trace)", shape))
             continue
         lb = comp.pop(cq)
         # Every line between the two components, found from the smaller
@@ -208,17 +265,21 @@ def _plan(nodes, edges, free_legs, schedule):
                 axes.append(x)
                 owner[x] = cp
         pa, pb = tuple(keep_a + ia), tuple(ib + keep_b)
+        shape = tuple(dims[x] for x in axes)
+        peak = max(peak, _over_cap(f"contraction step {len(steps) + 1} (edge {e}, a merge)", shape))
         if len(pa) == 2 == len(pb) and len(ia) == 1:
             # Two matrices sharing one line: the dot's operands are a or a.T and b or b.T themselves.
             steps.append((cp, cq, pa == (0, 1), pb == (0, 1), 0, None))
         else:
-            steps.append((cp, cq, pa, pb, math.prod(dims[lb[k]] for k in ib), tuple(dims[x] for x in axes)))
+            steps.append((cp, cq, pa, pb, math.prod(dims[lb[k]] for k in ib), shape))
         comp[cp] = axes
+    schedule += sorted(set(range(len(edges))).difference(schedule))
     axes = [x for part in comp.values() for x in part]
     perm = tuple(axes.index(ids[p]) for p in free_legs)
     # Distinct (node, leg) pairs can still join to one name ("a.b" + "c", "a" + "b.c").
     out_legs = _unique(tuple((f"{node}.{leg}", dims[ids[(node, leg)]]) for node, leg in free_legs))
-    return tuple(steps), tuple(comp), perm, out_legs
+    peak = max(peak, _over_cap("the contraction's output", tuple(dim for _, dim in out_legs)))
+    return tuple(steps), tuple(comp), perm, out_legs, tuple(schedule), peak
 
 
 class Network:
@@ -295,39 +356,43 @@ class Network:
         remainders combined by an outer product. ``_plan`` works these steps
         out once per wiring and ``order`` and caches them; each call replays
         them on the node arrays. ``order`` optionally gives a permutation of
-        edge indices to process; any permutation yields the same result up to
-        float reassociation. A network with no free legs contracts to a
-        rank-0 tensor. If an entry overflows double precision, a
-        NetworkError names the first one by the key ``qpath contract``
-        prints for it (``-`` for a scalar).
+        edge indices to process, replayed as given; without it the plan picks
+        the edge whose step leaves the fewest entries, the lowest index on a
+        tie. Any order yields the same result up to float reassociation. A
+        network with no free legs contracts to a rank-0 tensor. If a step or
+        the output would make more than ``ENTRY_CAP`` entries,
+        ContractionCapExceeded names it before any arithmetic. If an entry
+        overflows double precision, a NetworkError names the first one by
+        the key ``qpath contract`` prints for it (``-`` for a scalar).
         """
-        if order is None:
-            schedule = range(len(self.edges))
-        else:
-            schedule = [linalg._integer("order entry", i) for i in order]
-            if sorted(schedule) != list(range(len(self.edges))):
+        if order is not None:
+            order = [linalg._integer("order entry", i) for i in order]
+            if sorted(order) != list(range(len(self.edges))):
                 raise ValueError("order must be a permutation of edge indices")
+            order = tuple(order)
         # Tuples from lists: one grown from a generator is resized, which fills CPython's tuple free lists.
-        steps, final, perm, out_legs = _plan(tuple([(node_id, t.legs) for node_id, t in self.nodes.items()]),
-                                             tuple(self.edges), tuple(self.free_legs), tuple(schedule))
+        steps, final, perm, out_legs, _, _ = _plan(tuple([(node_id, t.legs) for node_id, t in self.nodes.items()]),
+                                                   tuple(self.edges), tuple(self.free_legs), order)
         arrs = [tensor.data for tensor in self.nodes.values()]
-        for c, d, x, y, n, shape in steps:
-            a, b = arrs[c], arrs[d]
-            if c == d:
-                arrs[c] = np.trace(a, axis1=x, axis2=y)
-            elif n == 0:
-                arrs[c] = np.dot(a if x else a.T, b if y else b.T)
-            else:
-                arrs[c] = np.dot(a.transpose(x).reshape(-1, n), b.transpose(y).reshape(n, -1)).reshape(shape)
-        arr = np.ones((), dtype=complex)
-        for c in final:
-            arr = np.multiply.outer(arr, arrs[c])
-        out = arr.transpose(perm)
-        if not out.flags.c_contiguous:
-            out = out.copy()
-        if not np.isfinite(out).all():
-            idx = tuple(np.argwhere(~np.isfinite(out))[0].tolist())
-            raise NetworkError(_overflow(f"entry {_entry_key(idx)}", ("contraction", out[idx])))
+        # An overflow is named below, not left to escape as a numpy warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for c, d, x, y, n, shape in steps:
+                a, b = arrs[c], arrs[d]
+                if c == d:
+                    arrs[c] = np.trace(a, axis1=x, axis2=y)
+                elif n == 0:
+                    arrs[c] = np.dot(a if x else a.T, b if y else b.T)
+                else:
+                    arrs[c] = np.dot(a.transpose(x).reshape(-1, n), b.transpose(y).reshape(n, -1)).reshape(shape)
+            arr = np.ones((), dtype=complex)
+            for c in final:
+                arr = np.multiply.outer(arr, arrs[c])
+            out = arr.transpose(perm)
+            if not out.flags.c_contiguous:
+                out = out.copy()
+            if not np.isfinite(out).all():
+                idx = tuple(np.argwhere(~np.isfinite(out))[0].tolist())
+                raise NetworkError(_overflow(f"entry {_entry_key(idx)}", ("contraction", out[idx])))
         return Tensor._of_checked(out_legs, out)
 
     # -- graph surgery -----------------------------------------------------

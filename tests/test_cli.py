@@ -187,6 +187,12 @@ BAD_INPUTS = [
      cli.EXIT_SEMANTIC, "entry 0,0 overflows double precision: contraction nan nan"),
     ("contract overflow to a scalar", CONTRACT_OVERFLOW.replace("free a.in\nfree b.out", "edge b.out -> a.in"),
      "contract", {}, cli.EXIT_SEMANTIC, "entry - overflows double precision: contraction inf nan"),
+    # 25 free dim-2 states contract to 2**25 amplitudes; the plan is refused before any arithmetic.
+    ("contract over the entry cap",
+     "dim 2\nstate z = [1, 0]\n" + "".join(f"node n{k} : z\nfree n{k}.out\n" for k in range(25)),
+     "contract", {}, cli.EXIT_CAP,
+     "the contraction's output makes an array of shape (" + ", ".join(["2"] * 25) + "), 33554432 entries, "
+     "exceeding the cap of 16777216"),
     ("negative seed", MZ.read_text(), "sample", {"circuit": "mz", "input": 0, "shots": 3, "seed": -1},
      cli.EXIT_SEMANTIC, "seed must be non-negative, got -1"),
 ]
@@ -429,13 +435,16 @@ class TestExitCodes:
         assert proc.returncode == 4
         assert "exceeding the cap" in proc.stderr
 
-    @pytest.mark.parametrize("document,argv", [
-        (MZ.read_text(), ["sample", "--circuit", "mz", "--input", "0", "--shots", "10000000000", "--seed", "1"]),
-        # Ten free dim-16 states contract to 16**10 amplitudes.
+    @pytest.mark.parametrize("document,argv,message", [
+        (MZ.read_text(), ["sample", "--circuit", "mz", "--input", "0", "--shots", "10000000000", "--seed", "1"],
+         "qpath: Unable to allocate "),
+        # Ten free dim-16 states contract to 16**10 amplitudes, over the plan's entry cap.
         ("dim 16\nstate z = [" + ", ".join(["1"] + ["0"] * 15) + "]\n"
-         + "".join(f"node n{k} : z\nfree n{k}.out\n" for k in range(10)), ["contract"]),
+         + "".join(f"node n{k} : z\nfree n{k}.out\n" for k in range(10)), ["contract"],
+         "qpath: the contraction's output makes an array of shape (16, 16, 16, 16, 16, 16, 16, 16, 16, 16), "
+         "1099511627776 entries, exceeding the cap of 16777216"),
     ], ids=["sample", "contract"])
-    def test_result_too_large_for_memory_is_a_cap_exit(self, tmp_path, document, argv):
+    def test_result_too_large_for_memory_is_a_cap_exit(self, tmp_path, document, argv, message):
         doc = tmp_path / "big.qpd"
         doc.write_text(document)
         # The child caps its own address space at 1 GiB, so no run allocates gigabytes.
@@ -452,7 +461,7 @@ class TestExitCodes:
         )
         assert proc.returncode == cli.EXIT_CAP, proc.stderr
         assert proc.stdout == ""
-        assert proc.stderr.startswith("qpath: Unable to allocate ")
+        assert proc.stderr.startswith(message)
         assert proc.stderr.count("\n") == 1
 
     def test_missing_file(self):

@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from qpath import dsl, linalg, tensornet
 from qpath.tensornet import (
+    ENTRY_CAP,
+    ContractionCapExceeded,
     Network,
     NetworkError,
     Tensor,
@@ -504,14 +507,14 @@ def reference_contract(net, order=None):
     return tuple((f"{node}.{leg}", dim) for (node, leg), dim in zip(net.free_legs, out.shape)), out
 
 
-def matrix_network(rng, kind, n):
-    """n rank-2 nodes in a line, each line of dim 1-5, each node wired by a random leg.
+def matrix_network(rng, kind, n, dim=None):
+    """n rank-2 nodes in a line, each line of dim 1-5 (or all of ``dim``), each node wired by a random leg.
 
     ``open`` leaves the two end legs free, ``ring`` closes the line (n=2 joins
     two nodes by both legs), ``cut`` cuts a ring open and closes it with a ket
     and a bra, and ``loose`` drops some lines so that nodes keep free legs.
     """
-    dims = [int(rng.integers(1, 6)) for _ in range(n)]  # line k joins node k to k+1
+    dims = [int(rng.integers(1, 6)) for _ in range(n)] if dim is None else [dim] * n  # line k joins node k to k+1
     nodes, ends = {}, []
     for k in range(n):
         legs = [("out", dims[k]), ("in", dims[k - 1])]
@@ -541,7 +544,7 @@ class TestMatrixMerge:
         rng = np.random.default_rng(seed)
         net = random_network(rng) if kind == "random" else matrix_network(rng, kind, n)
         order = data.draw(st.permutations(range(len(net.edges))), label="order")
-        for got, (legs, want) in ((net.contract(), reference_contract(net)),
+        for got, (legs, want) in ((net.contract(), reference_contract(net, plan_of(net)[4])),
                                   (net.contract(order=order), reference_contract(net, order))):
             assert got.legs == legs
             assert got.data.tobytes() == want.tobytes()
@@ -551,6 +554,15 @@ def with_fresh_data(net, rng):
     """The same wiring over new random arrays."""
     nodes = {k: Tensor(t.legs, random_array(rng, t.data.shape)) for k, t in net.nodes.items()}
     return Network(nodes, net.edges, net.free_legs)
+
+
+def plan_of(net, order=None):
+    """``tensornet._plan``'s plan for ``net``'s wiring and ``order``: the key ``Network.contract`` looks up.
+
+    Item 4 of the plan is its schedule, a permutation of edge indices, and item 5 its peak entry count.
+    """
+    return tensornet._plan(tuple((node_id, t.legs) for node_id, t in net.nodes.items()), tuple(net.edges),
+                           tuple(net.free_legs), None if order is None else tuple(order))
 
 
 def two_node_chain(a, b, edge=(("a", "out"), ("b", "in")), free=(("b", "out"), ("a", "in"))):
@@ -572,11 +584,11 @@ class TestPlanCache:
         for again, this in enumerate((net, with_fresh_data(net, rng))):
             hits = tensornet._plan.cache_info().hits
             got = this.contract(order=order)
-            legs, want = reference_contract(this, order)
-            assert got.legs == legs
-            assert got.data.tobytes() == want.tobytes()
             if again:
                 assert tensornet._plan.cache_info().hits == hits + 1
+            legs, want = reference_contract(this, plan_of(this, order)[4])
+            assert got.legs == legs
+            assert got.data.tobytes() == want.tobytes()
 
     def test_each_wiring_gets_its_own_plan(self):
         rng = np.random.default_rng(29)
@@ -604,10 +616,207 @@ class TestPlanCache:
         # (b @ a)[1, 0] = 1e300 * 1e300 is the first entry that overflows
         big = two_node_chain([[1e300, 0], [0, 1]], [[1, 0], [1e300, 1]])
         hits = tensornet._plan.cache_info().hits
+        # The suite turns numpy warnings into errors, so none may escape ahead of the named error.
         with pytest.raises(NetworkError, match=r"^entry 1,0 overflows double precision: contraction "):
-            with np.errstate(over="ignore", invalid="ignore"):
-                big.contract()
+            big.contract()
         assert tensornet._plan.cache_info().hits == hits + 1
+
+
+def as_document(net):
+    """``net``, a wiring of d x d nodes on legs ``out`` and ``in``, written as a .qpd document and read back."""
+    d = next(iter(net.nodes.values())).legs[0][1]
+    lines = [f"dim {d}"]
+    for k, (node_id, t) in enumerate(net.nodes.items()):
+        m = t.data if t.legs[0][0] == "out" else t.data.T
+        rows = ", ".join("[" + ", ".join(map(dsl.format_complex, row)) + "]" for row in m)
+        lines += [f"gate G{k} = [{rows}]", f"node {node_id} : G{k}"]
+    lines += ["edge {}.{} -> {}.{}".format(*p, *q) for p, q in net.edges]
+    lines += ["free {}.{}".format(*p) for p in net.free_legs]
+    return dsl.parse("\n".join(lines) + "\n").document
+
+
+class TestGreedyPlan:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_a_wiring_always_gets_the_same_schedule(self, seed):
+        rng = np.random.default_rng(seed)
+        for net in (torus(rng, 2 + seed % 3, 2 + seed % 4)[0], random_network(rng),
+                    *(matrix_network(rng, kind, 2 + seed % 7) for kind in ("open", "ring", "cut", "loose"))):
+            tensornet._plan.cache_clear()
+            schedule = plan_of(net)[4]
+            assert sorted(schedule) == list(range(len(net.edges)))
+            fresh = with_fresh_data(net, rng)
+            tensornet._plan.cache_clear()
+            assert plan_of(fresh)[4] == schedule
+            for this in (net, fresh):
+                assert this.contract().data.tobytes() == this.contract(order=schedule).data.tobytes()
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_a_wiring_where_every_step_ties_keeps_its_listed_order(self, seed):
+        rng = np.random.default_rng(seed)
+        d, n = 1 + seed % 4, 2 + seed % 7
+        for net in (*(matrix_network(rng, kind, n, dim=d) for kind in ("open", "ring", "loose")),
+                    as_document(matrix_network(rng, "open", n, dim=d)).network(),
+                    as_document(matrix_network(rng, "ring", n, dim=d)).network()):
+            listed = tuple(range(len(net.edges)))
+            assert plan_of(net)[4] == listed
+            assert net.contract().data.tobytes() == net.contract(order=listed).data.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_a_cut_ring_takes_its_ket_first_and_makes_only_vectors(self, n):
+        net = matrix_network(np.random.default_rng(n), "cut", n, dim=3)
+        ket = net.edges.index(next(e for e in net.edges if e[0][0].startswith("ket")))
+        schedule, peak = plan_of(net)[4:]
+        assert schedule[0] == ket
+        assert peak == 3
+        assert plan_of(net, range(len(net.edges)))[5] == 9
+
+    def test_a_4x5_torus_plans_a_sixteenth_of_the_listed_peak(self):
+        net, ref = torus(np.random.default_rng(1000), 4, 5)
+        assert plan_of(net)[5] == 256
+        assert plan_of(net, range(len(net.edges)))[5] == 4096
+        assert abs(net.contract().item() - ref) <= 1e-9 * abs(ref)
+
+
+def vectors_through_a_wide_matrix(n):
+    """kets on both ends of a(n, 2) and b(2, n) wired a.p -- b.p: the listed order first makes a @ b, n x n."""
+    rng = np.random.default_rng(31)
+    a, b = random_array(rng, (n, 2)), random_array(rng, (2, n))
+    u, v = random_state(rng, n), random_state(rng, n)
+    net = Network(
+        {"a": Tensor([("x", n), ("p", 2)], a), "b": Tensor([("p", 2), ("y", n)], b),
+         "u": Tensor.from_state(u), "v": Tensor.from_state(v)},
+        [(("a", "p"), ("b", "p")), (("u", "out"), ("a", "x")), (("v", "out"), ("b", "y"))],
+    )
+    return net, (u @ a) @ (b @ v)
+
+
+class TestEntryCap:
+    def test_a_plan_over_the_cap_is_refused_before_any_arithmetic(self, monkeypatch):
+        net, value = vectors_through_a_wide_matrix(5000)
+        assert 5000 * 5000 > ENTRY_CAP
+        got = net.contract().item()
+        assert abs(got - value) <= 1e-9 * abs(value)
+        assert plan_of(net)[5] == 2
+        # contract may not reach numpy once its plan is refused.
+        monkeypatch.setattr(tensornet, "np", None)
+        for _ in range(2):  # the cache holds no refusal, so each call plans and refuses again
+            misses = tensornet._plan.cache_info().misses
+            with pytest.raises(ContractionCapExceeded, match=(
+                r"^contraction step 1 \(edge 0, a merge\) makes an array of shape \(5000, 5000\), "
+                rf"25000000 entries, exceeding the cap of {ENTRY_CAP}$"
+            )):
+                net.contract(order=[0, 1, 2])
+            assert tensornet._plan.cache_info().misses == misses + 1
+
+    def test_an_output_over_the_cap_is_refused(self, monkeypatch):
+        # 25 free d=2 kets: an outer product of 2**25 entries.
+        net = Network({f"k{j}": Tensor.from_state([1, 0]) for j in range(25)}, [],
+                      [(f"k{j}", "out") for j in range(25)])
+        monkeypatch.setattr(tensornet, "np", None)
+        with pytest.raises(ContractionCapExceeded, match=(
+            rf"^the contraction's output makes an array of shape \(2(, 2){{24}}\), "
+            rf"33554432 entries, exceeding the cap of {ENTRY_CAP}$"
+        )):
+            net.contract()
+
+    def test_a_plan_at_the_cap_is_made(self):
+        # 2**24 entries in a plan only: two free legs of 4096 on nodes of 4096 entries each.
+        net = Network({"u": Tensor.from_state(np.ones(4096)), "v": Tensor.from_state(np.ones(4096))}, [],
+                      [("u", "out"), ("v", "out")])
+        assert plan_of(net)[5] == ENTRY_CAP
+
+
+# -- the exact value of a network ------------------------------------------------
+
+#: The unit roundoff of a double.
+U = Fraction(1, 2**53)
+#: The bound's constant: sqrt(2) joins the real and imaginary parts' bounds
+#: into one on the modulus, rounded up to cover gamma_k = k*u / (1 - k*u) too.
+C = 2
+
+
+def exact_contract(net, magnitudes=False):
+    """The exact contraction of ``net``: (re, im) object arrays of Fractions over its free legs, in order.
+
+    Every double is a rational, so these sums and products are exact and the
+    order the nodes are taken in does not matter. With ``magnitudes`` each node
+    entry z is replaced by the double |z|, which gives |N|: the sum, over every
+    index assignment, of the product of the entries' moduli.
+    """
+    label = {p: ("edge", k) for k, edge in enumerate(net.edges) for p in edge}
+    label.update({p: ("free", k) for k, p in enumerate(net.free_legs)})
+    fraction = np.vectorize(Fraction, otypes=[object])
+    re, im, axes = np.array(Fraction(1), dtype=object), np.array(Fraction(0), dtype=object), []
+    for node_id, t in net.nodes.items():
+        data = np.abs(t.data) if magnitudes else t.data
+        nre, nim = fraction(data.real), fraction(data.imag)
+        naxes = [label[(node_id, leg)] for leg, _ in t.legs]
+        for loop in {lab for lab in naxes if naxes.count(lab) == 2}:
+            i, j = (k for k, lab in enumerate(naxes) if lab == loop)
+            nre, nim = np.trace(nre, axis1=i, axis2=j), np.trace(nim, axis1=i, axis2=j)
+            naxes = [lab for lab in naxes if lab != loop]
+        shared = [lab for lab in naxes if lab in axes]
+        pairs = ([axes.index(lab) for lab in shared], [naxes.index(lab) for lab in shared])
+        re, im = (np.tensordot(re, nre, pairs) - np.tensordot(im, nim, pairs),
+                  np.tensordot(re, nim, pairs) + np.tensordot(im, nre, pairs))
+        axes = [lab for lab in axes if lab not in shared] + [lab for lab in naxes if lab not in shared]
+    perm = [axes.index(("free", k)) for k in range(len(net.free_legs))]
+    return np.transpose(re, perm), np.transpose(im, perm)
+
+
+def summed_terms(net, schedule):
+    """For each trace or merge of ``net`` contracted in ``schedule``, the number of terms it sums.
+
+    A trace sums over its one line; a merge over every line between the two components.
+    """
+    group = {node_id: node_id for node_id in net.nodes}
+    done, counts = set(), []
+    for e in schedule:
+        if e in done:
+            continue
+        (a, _), (b, _) = net.edges[e]
+        ga, gb = group[a], group[b]
+        between = [e] if ga == gb else [
+            f for f, ((x, _), (y, _)) in enumerate(net.edges) if f not in done and {group[x], group[y]} == {ga, gb}
+        ]
+        done.update(between)
+        counts.append(math.prod(net._dim_of(net.edges[f][0]) for f in between))
+        group = {node_id: ga if g == gb else g for node_id, g in group.items()}
+    return counts
+
+
+class TestExactOracle:
+    def test_the_oracle_is_exact_on_a_small_integer_network(self):
+        net = two_node_ring()
+        ints = Network({k: Tensor(t.legs, np.round(t.data * 8)) for k, t in net.nodes.items()}, net.edges)
+        re, im = exact_contract(ints)
+        want = brute_force_contract(ints).item()  # small integers: every float step is exact
+        assert (re[()], im[()]) == (Fraction(want.real), Fraction(want.imag))
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["random", "torus", "cut"]),
+           n=st.integers(2, 8), data=st.data())
+    def test_the_planned_and_any_order_lie_within_the_rounding_bound(self, seed, kind, n, data):
+        # Each term of the result passes through at most 2*n_s roundings in a step that
+        # sums n_s complex terms (a real dot of 2*n_s terms) and through 2 in each outer
+        # product, so |contract - exact| <= C * k * u * |N| entrywise, with
+        # k = 2 * sum(n_s) + 2 * (number of nodes) and u the unit roundoff.
+        rng = np.random.default_rng(seed)
+        if kind == "torus":
+            net, _ = torus(rng, 2, n % 3 + 2)
+        elif kind == "cut":
+            net = matrix_network(rng, "cut", n)
+        else:
+            net = random_network(rng)
+        order = data.draw(st.permutations(range(len(net.edges))), label="order")
+        re, im = exact_contract(net)
+        size, _ = exact_contract(net, magnitudes=True)
+        for got, schedule in ((net.contract(), plan_of(net)[4]), (net.contract(order=order), order)):
+            k = 2 * sum(summed_terms(net, schedule)) + 2 * len(net.nodes)
+            for idx in np.ndindex(*got.data.shape):
+                z = got.data[idx]
+                dr, di = Fraction(z.real) - re[idx], Fraction(z.imag) - im[idx]
+                assert dr * dr + di * di <= (C * k * U * size[idx]) ** 2, (idx, schedule)
 
 
 class TestCutEdge:
