@@ -28,6 +28,10 @@ skipped path multiplies a finite prefix by an exact zero, so its weight is
 +0.0 or -0.0, and adding a signed zero leaves a running sum that starts at
 +0.0 unchanged. Where a sum is not finite, ``_column_sums`` sums over every
 path again, so overflow is reported exactly as the full sum gives it.
+The public listings, sums and products (``enumerate_paths``,
+``path_sum_amplitude``, ``composition_matrix``, ``interference_report``)
+each compute under ``np.errstate(over="ignore", invalid="ignore")``: an
+overflow gives inf or nan values, which they return, and no numpy warning.
 
 A diagram checks its layers once, as one read-only ``(L, d, d)`` stack, and
 its ``layers`` are views of that stack's rows. From the same stack it keeps,
@@ -334,7 +338,8 @@ def enumerate_paths(pd: PathDiagram) -> list[Path]:
         for (re, im), _ in _running_sums(pd, 1)
         for a, b in zip(re.tolist(), im.tolist())
     )
-    return [Path(k, w) for k, w in zip(product(*_ranges(pd)), weights)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [Path(k, w) for k, w in zip(product(*_ranges(pd)), weights)]
 
 
 def path_sum_amplitude(pd: PathDiagram, output_index: int) -> complex:
@@ -347,7 +352,8 @@ def path_sum_amplitude(pd: PathDiagram, output_index: int) -> complex:
     every path bit for bit. The input must be pinned.
     """
     _one_input(pd, "path_sum_amplitude")
-    return _column_sums(_pinned(pd, output=output_index))[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _column_sums(_pinned(pd, output=output_index))[0]
 
 
 def _column_sums(pd: PathDiagram) -> list[complex]:
@@ -378,8 +384,9 @@ def _column_sums(pd: PathDiagram) -> list[complex]:
 def composition_matrix(pd: PathDiagram) -> np.ndarray:
     """The matrix route: the product of the layers in application order."""
     u = pd.layers[0]
-    for layer in pd.layers[1:]:
-        u = layer @ u
+    with np.errstate(over="ignore", invalid="ignore"):
+        for layer in pd.layers[1:]:
+            u = layer @ u
     return u
 
 
@@ -410,7 +417,8 @@ def interference_report(pd: PathDiagram, output_index: int) -> InterferenceRepor
     total = path_sum_amplitude(pinned, pinned.output)
     magnitude = abs(total)
     magnitudes = np.reshape([abs(p.weight) for p in paths], (-1, 1))
-    weight_sum = float(_accumulate([[0.0]], magnitudes)[-1, 0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        weight_sum = float(_accumulate([[0.0]], magnitudes)[-1, 0])
     if magnitude <= tol and weight_sum > tol:
         verdict = "destructive"
     elif abs(magnitude - weight_sum) <= tol:

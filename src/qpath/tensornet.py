@@ -10,7 +10,11 @@ Networks are values: the surgery operations (``cut_edge``, ``wire``,
 never mutate the receiver. Public constructors (``Tensor(...)``,
 ``from_matrix``, ``from_state``, ``Network(...)``) check everything; surgery,
 ``trace_network`` and ``contract`` check only what they add, build from parts
-already checked and never re-validate their results. ``Network.contract``
+already checked and never re-validate their results. ``Network(...)``
+normalizes ids and leg names to strings, checks that each node is a Tensor
+and that no two ids are equal as strings, and builds its wiring's key on
+every call; ``_check``, the structural check of that key, runs once per
+wiring and is cached for the last ``_PLANS`` wirings. ``Network.contract``
 replays a plan that ``_plan`` works out once per wiring and caches. Given no
 order, the plan takes at each step the edge whose trace or merge leaves the
 fewest entries (the size-greedy rule of opt_einsum; ties go to the lower edge
@@ -149,7 +153,7 @@ def _check_line(p: EndPoint, dp: int, q: EndPoint, dq: int) -> None:
         )
 
 
-_PLANS = 128  # wirings whose contraction plans ``_plan`` keeps
+_PLANS = 128  # wirings whose plans ``_plan`` keeps, and whose checks ``_check`` keeps
 
 #: The most entries (complex128, 16 bytes each) that one step of a contraction
 #: plan, or its output, may make: 2**24 entries are 256 MiB.
@@ -282,6 +286,40 @@ def _plan(nodes, edges, free_legs, order):
     return tuple(steps), tuple(comp), perm, out_legs, tuple(schedule), peak
 
 
+@functools.lru_cache(maxsize=_PLANS)
+def _check(nodes, edges, free_legs):
+    """``Network``'s structural check of one wiring, keyed as ``_plan`` is: each node's (id, legs), edges, free legs.
+
+    Raises the first NetworkError that applies: edge by edge, an endpoint on
+    an unknown node or leg, then a line whose two dimensions differ; then a
+    free leg on an unknown node or leg; then the first leg wired more than
+    once; then the first dangling leg in node then leg order. A wiring that
+    passes is cached; ``lru_cache`` stores no exception, so one refused is
+    checked again on every call.
+    """
+    dims = {(node_id, leg): dim for node_id, legs in nodes for leg, dim in legs}
+
+    def dim_of(p):
+        if p in dims:
+            return dims[p]
+        if all(node_id != p[0] for node_id, _ in nodes):
+            raise NetworkError(f"endpoint {_fmt_endpoint(p)} references unknown node '{p[0]}'")
+        raise NetworkError(f"tensor has no leg named '{p[1]}'")
+
+    for p, q in edges:
+        _check_line(p, dim_of(p), q, dim_of(q))
+    for p in free_legs:
+        dim_of(p)
+    wired = [p for edge in edges for p in edge] + list(free_legs)
+    distinct = set(wired)
+    if len(distinct) != len(wired):
+        point = next(p for p, count in collections.Counter(wired).items() if count > 1)
+        raise NetworkError(f"leg {_fmt_endpoint(point)} is wired more than once")
+    if len(distinct) != len(dims):
+        point = next(p for p in dims if p not in distinct)
+        raise NetworkError(f"dangling leg {_fmt_endpoint(point)}")
+
+
 class Network:
     """Tensors wired into a graph with free legs.
 
@@ -293,15 +331,25 @@ class Network:
             of the contraction result.
 
     Raises:
-        NetworkError: if any leg is dangling or wired more than once, an
-            endpoint references a missing node or leg, or the two endpoints
-            of an edge have different dimensions.
+        NetworkError: if two node ids are equal as strings, a node is not a
+            Tensor, any leg is dangling or wired more than once, an endpoint
+            references a missing node or leg, or the two endpoints of an
+            edge have different dimensions.
+
+    The structural check (endpoints, dimensions, legs wired twice or
+    dangling) is ``_check``'s, cached per wiring for the last ``_PLANS``
+    wirings; normalization, the Tensor and node id checks and building the
+    wiring's key run on every call.
     """
 
     __slots__ = ("nodes", "edges", "free_legs")
 
     def __init__(self, nodes, edges=(), free_legs=()):
-        self.nodes = {str(k): v for k, v in dict(nodes).items()}
+        nodes = dict(nodes)
+        self.nodes = {str(k): v for k, v in nodes.items()}
+        if len(self.nodes) != len(nodes):
+            node_id = next(k for k, count in collections.Counter(map(str, nodes)).items() if count > 1)
+            raise NetworkError(f"node id '{node_id}' is given more than once")
         for node_id, tensor in self.nodes.items():
             if not isinstance(tensor, Tensor):
                 raise NetworkError(f"node '{node_id}' is not a Tensor")
@@ -324,23 +372,15 @@ class Network:
             raise NetworkError(f"endpoint {_fmt_endpoint(p)} references unknown node '{node}'")
         return self.nodes[node].leg_dim(leg)
 
+    def _wiring(self):
+        """The key ``_check`` and ``_plan`` cache by: each node's (id, legs) in node order, the edges, the free legs."""
+        # Tuples from lists: one grown from a generator is resized, which fills CPython's tuple free lists.
+        return (tuple([(node_id, t.legs) for node_id, t in self.nodes.items()]),
+                tuple(self.edges), tuple(self.free_legs))
+
     def _validate(self) -> None:
-        # One (node, leg) -> dim table; a miss goes to ``_dim_of`` only to
-        # raise its message (dimensions are positive, so ``or`` never skips one).
-        dims = {(node_id, leg): dim for node_id, t in self.nodes.items() for leg, dim in t.legs}
-        for p, q in self.edges:
-            _check_line(p, dims.get(p) or self._dim_of(p), q, dims.get(q) or self._dim_of(q))
-        for p in self.free_legs:
-            if p not in dims:
-                self._dim_of(p)
-        wired = [p for edge in self.edges for p in edge] + self.free_legs
-        distinct = set(wired)
-        if len(distinct) != len(wired):
-            point = next(p for p, count in collections.Counter(wired).items() if count > 1)
-            raise NetworkError(f"leg {_fmt_endpoint(point)} is wired more than once")
-        if len(distinct) != len(dims):
-            point = next(p for p in dims if p not in distinct)
-            raise NetworkError(f"dangling leg {_fmt_endpoint(point)}")
+        """Raise the NetworkError ``_check`` finds in this network's wiring, checked once per wiring."""
+        _check(*self._wiring())
 
     # -- contraction -------------------------------------------------------
 
@@ -370,9 +410,7 @@ class Network:
             if sorted(order) != list(range(len(self.edges))):
                 raise ValueError("order must be a permutation of edge indices")
             order = tuple(order)
-        # Tuples from lists: one grown from a generator is resized, which fills CPython's tuple free lists.
-        steps, final, perm, out_legs, _, _ = _plan(tuple([(node_id, t.legs) for node_id, t in self.nodes.items()]),
-                                                   tuple(self.edges), tuple(self.free_legs), order)
+        steps, final, perm, out_legs, _, _ = _plan(*self._wiring(), order)
         arrs = [tensor.data for tensor in self.nodes.values()]
         # An overflow is named below, not left to escape as a numpy warning.
         with np.errstate(over="ignore", invalid="ignore"):

@@ -526,6 +526,41 @@ class TestInterference:
         assert report.total == 1e16
 
 
+#: Three layers whose products overflow: 1e600 and its sums exceed a double.
+OVERFLOWING = PathDiagram(2, (np.array([[1e200, 1e200], [1e200, -1e200]]),) * 3, 0)
+
+
+class TestOverflow:
+    # The suite turns numpy warnings into errors, so none may escape a library call;
+    # each returns its non-finite values as documented.
+    def test_composition_matrix_is_nan(self):
+        u = composition_matrix(OVERFLOWING)
+        assert np.isnan(u.real).all() and np.isnan(u.imag).all()
+
+    def test_path_sum_amplitude_is_nan(self):
+        assert repr(path_sum_amplitude(OVERFLOWING, 1)) == "(nan+nanj)"
+
+    def test_enumerate_paths_lists_overflowed_weights(self):
+        paths = enumerate_paths(OVERFLOWING)
+        assert [p.indices for p in paths] == list(product(range(2), repeat=3))
+        assert [p.weight.real for p in paths] == [np.inf, np.inf, np.inf, -np.inf, np.inf, np.inf, -np.inf, np.inf]
+        assert all(np.isnan(p.weight.imag) for p in paths)
+
+    def test_interference_report_keeps_the_non_finite_sums(self):
+        report = interference_report(OVERFLOWING, 1)
+        assert [p.indices for p in report.paths] == [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)]
+        assert [p.weight.real for p in report.paths] == [np.inf, -np.inf, np.inf, np.inf]
+        assert repr(report.total) == "(nan+nanj)"
+        assert np.isnan(report.magnitude) and report.weight_sum == np.inf
+        assert report.verdict == "mixed"
+
+    def test_interference_report_weight_sum_overflows_to_inf(self):
+        # Two finite weights of 1e308: their sum and the sum of their magnitudes pass the largest double.
+        pd = PathDiagram(2, (np.array([[1, 0], [1, 0]]), np.array([[1e308, 1e308], [0, 0]])), 0)
+        report = interference_report(pd, 0)
+        assert (report.total, report.weight_sum, report.verdict) == (complex(np.inf, 0), np.inf, "mixed")
+
+
 class TestLabDiagram:
     def test_node_and_edge_counts(self):
         for d, L in ((2, 3), (3, 2), (2, 1), (4, 4)):

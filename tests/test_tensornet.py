@@ -246,6 +246,15 @@ class TestInvariants:
         with pytest.raises(NetworkError, match=r"^leg M\.out is wired more than once$"):
             Network({"M": m}, edges=[(("M", "out"), ("M", "in"))], free_legs=[("M", "in"), ("M", "out")])
 
+    def test_node_ids_equal_as_strings_named(self):
+        # 1 and "1" are one id once made strings; neither node may silently replace the other.
+        a, b = Tensor.from_matrix(np.eye(2)), Tensor.from_matrix(np.eye(2))
+        with pytest.raises(NetworkError, match=r"^node id '1' is given more than once$"):
+            Network({1: a, "1": b}, [], [("1", "out"), ("1", "in")])
+        # The first id, in the order given, that repeats.
+        with pytest.raises(NetworkError, match=r"^node id '0' is given more than once$"):
+            Network({"0": a, 2: a, "2": b, 0: b}, [(("0", "out"), ("0", "in")), (("2", "out"), ("2", "in"))])
+
 
 class TestContract:
     def test_matrix_multiplication_wiring(self):
@@ -561,8 +570,7 @@ def plan_of(net, order=None):
 
     Item 4 of the plan is its schedule, a permutation of edge indices, and item 5 its peak entry count.
     """
-    return tensornet._plan(tuple((node_id, t.legs) for node_id, t in net.nodes.items()), tuple(net.edges),
-                           tuple(net.free_legs), None if order is None else tuple(order))
+    return tensornet._plan(*net._wiring(), None if order is None else tuple(order))
 
 
 def two_node_chain(a, b, edge=(("a", "out"), ("b", "in")), free=(("b", "out"), ("a", "in"))):
@@ -620,6 +628,89 @@ class TestPlanCache:
         with pytest.raises(NetworkError, match=r"^entry 1,0 overflows double precision: contraction "):
             big.contract()
         assert tensornet._plan.cache_info().hits == hits + 1
+
+
+def ket_bra_pair():
+    """Nodes ``k`` and ``b``, one leg ``out`` of dim 2 each."""
+    return {"k": Tensor.from_state([1, 0]), "b": Tensor.from_state([0, 1])}
+
+
+#: Wirings ``Network`` refuses, each with the one message it must give. Where
+#: several faults apply, the edges come first in their order, then the free
+#: legs, then a leg wired twice, then a dangling leg.
+REFUSED = [
+    ({"M": Tensor.from_matrix(np.eye(2))}, [], [("M", "out")], r"^dangling leg M\.in$"),
+    ({"M": Tensor.from_matrix(np.eye(2))}, [(("M", "out"), ("M", "in"))], [("M", "in"), ("M", "out")],
+     r"^leg M\.out is wired more than once$"),
+    ({"M": Tensor.from_matrix(np.eye(2))}, [(("M", "out"), ("X", "in"))], [("M", "in")],
+     r"^endpoint X\.in references unknown node 'X'$"),
+    ({"M": Tensor.from_matrix(np.eye(2))}, [(("M", "out"), ("M", "in"))], [("M", "side")],
+     r"^tensor has no leg named 'side'$"),
+    ({"M": Tensor.from_matrix(np.eye(2))}, [(("N", "in"), ("M", "out"))], [],
+     r"^endpoint N\.in references unknown node 'N'$"),
+    ({"a": Tensor.from_matrix(np.eye(2)), "b": Tensor.from_matrix(np.eye(3))}, [(("a", "out"), ("b", "in"))],
+     [("a", "out")], r"^edge endpoints a\.out \(dim 2\) and b\.in \(dim 3\) have different dimensions$"),
+    ({**ket_bra_pair(), "c": Tensor.from_state([1, 1, 1])},
+     [(("k", "out"), ("b", "nope")), (("k", "out"), ("c", "out"))], [], r"^tensor has no leg named 'nope'$"),
+    (ket_bra_pair(), [(("k", "out"), ("b", "out"))], [("X", "out"), ("k", "out")],
+     r"^endpoint X\.out references unknown node 'X'$"),
+    (ket_bra_pair(), [(("k", "out"), ("b", "out")), (("b", "out"), ("k", "out"))], [],
+     r"^leg k\.out is wired more than once$"),
+    ({**ket_bra_pair(), "c": Tensor.from_state([1, 1])}, [(("b", "out"), ("k", "out"))], [("k", "out")],
+     r"^leg k\.out is wired more than once$"),
+    ({**ket_bra_pair(), "c": Tensor.from_state([1, 1]), "d": Tensor.from_state([1, 1])},
+     [(("k", "out"), ("b", "out"))], [("d", "out")], r"^dangling leg c\.out$"),
+]
+
+
+class TestCheckCache:
+    """``tensornet._check`` checks a wiring once; a refused one is checked again on every call."""
+
+    @pytest.mark.parametrize("nodes, edges, free, message", REFUSED)
+    def test_a_refused_wiring_is_refused_again_with_the_same_message(self, nodes, edges, free, message):
+        for _ in range(2):
+            misses = tensornet._check.cache_info().misses
+            with pytest.raises(NetworkError, match=message):
+                Network(nodes, edges, free)
+            assert tensornet._check.cache_info().misses == misses + 1
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_the_same_wiring_on_fresh_tensors_is_a_hit(self, seed):
+        rng = np.random.default_rng(seed)
+        # A cut ring is built by surgery, which checks no wiring, so only its second copy is a hit.
+        for net in (random_network(rng), torus(rng, 2, 3)[0], with_fresh_data(matrix_network(rng, "cut", 3), rng)):
+            info = tensornet._check.cache_info()
+            fresh = with_fresh_data(net, rng)
+            assert tensornet._check.cache_info()[:2] == (info.hits + 1, info.misses)
+            assert fresh.contract().data.tobytes() == reference_contract(fresh, plan_of(fresh)[4])[1].tobytes()
+
+    def test_each_wiring_gets_its_own_check(self):
+        rng = np.random.default_rng(37)
+        a, b = random_matrix(rng, 3), random_matrix(rng, 3)
+        variants = [
+            lambda: two_node_chain(a, b),
+            lambda: two_node_chain(random_array(rng, (3, 4)), b),  # one leg dim: a.in is 4
+            lambda: Network({"a": Tensor([("out", 3), ("x", 3)], a), "b": Tensor.from_matrix(b)},
+                            [(("a", "out"), ("b", "in"))], [("b", "out"), ("a", "x")]),  # one leg name
+            lambda: two_node_chain(a, b, edge=(("b", "in"), ("a", "out"))),  # one edge's endpoint order
+            lambda: two_node_chain(a, b, free=(("a", "in"), ("b", "out"))),  # the free-leg order
+            lambda: Network({"b": Tensor.from_matrix(b), "a": Tensor.from_matrix(a)},
+                            [(("a", "out"), ("b", "in"))], [("b", "out"), ("a", "in")]),  # the node order
+        ]
+        tensornet._check.cache_clear()
+        for k, build in enumerate(variants + variants):
+            build()
+            assert tensornet._check.cache_info().currsize == min(k + 1, len(variants))
+        assert tensornet._check.cache_info().hits == len(variants)
+
+    def test_surgery_checks_no_wiring(self, monkeypatch):
+        # Surgery and trace_network build from checked parts, so none of them reaches the check.
+        net = two_node_chain(np.eye(2), [[0, 1], [1, 0]])
+        monkeypatch.setattr(tensornet, "_check", None)
+        grown = net.add_node("x", Tensor.from_matrix([[1, 2], [3, 4]])).wire(("b", "out"), ("x", "in"))
+        for built in (grown, grown.cut_edge(grown.edges[0]), grown.insert_ket(("a", "in"), [1, 0]),
+                      grown.insert_bra(("x", "out"), [0, 1]), trace_network(np.eye(2))):
+            assert linalg.max_abs_diff(built.contract().data, brute_force_contract(built).data) == 0
 
 
 def as_document(net):
