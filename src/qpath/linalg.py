@@ -145,10 +145,12 @@ def basis_ket(d: int, i: int) -> np.ndarray:
 
 
 def unitarity_deviation(m) -> float:
-    """Max absolute entry of ``m† m - I`` for a square matrix."""
+    """Max absolute entry of ``m† m - I`` for a square matrix; inf if a product overflows."""
     m = as_square(m)
-    delta = m.conj().T @ m - np.eye(m.shape[0])
-    return float(np.max(np.abs(delta)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = np.abs(m.conj().T @ m - np.eye(m.shape[0]))
+    # Finite entries make a nan only by overflow, and a nan passes every `> tol` test.
+    return float(np.max(np.where(np.isnan(delta), np.inf, delta)))
 
 
 def is_normalized(v) -> bool:

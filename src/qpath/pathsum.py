@@ -524,17 +524,12 @@ def emit_lab_diagram(pd: PathDiagram) -> LabDiagram:
     )
 
 
-def to_dot(diagram: LabDiagram, role_labels: bool = False) -> str:
+def to_dot(diagram: LabDiagram) -> str:
     """Serialize a laboratory DAG to Graphviz DOT text.
 
     Node identifiers are the stable ids of the diagram; edge labels carry
-    the complex weights as ``a+bi`` with 6 significant digits. With
-    ``role_labels`` (two-dimensional diagrams only), each device edge is
-    additionally tagged T or R for the transmission (branch kept) or
-    reflection (branch flipped) reading of a mirror element.
+    the complex weights as ``a+bi`` with 6 significant digits.
     """
-    if role_labels and diagram.dim != 2:
-        raise ValueError("role labels are defined only for two-dimensional diagrams")
     lines = ["digraph lab {", "  rankdir=LR;"]
     for node_id in diagram.nodes:
         if node_id == "prep":
@@ -547,10 +542,6 @@ def to_dot(diagram: LabDiagram, role_labels: bool = False) -> str:
             attrs = f'[shape=box, label="U{t} b={branch}"]'
         lines.append(f'  "{node_id}" {attrs};')
     for src, dst, weight in diagram.edges:
-        label = complex6(weight)
-        if role_labels and src != "prep":
-            role = "T" if _branch_of(src) == _branch_of(dst) else "R"
-            label = f"{label} {role}"
-        lines.append(f'  "{src}" -> "{dst}" [label="{label}"];')
+        lines.append(f'  "{src}" -> "{dst}" [label="{complex6(weight)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

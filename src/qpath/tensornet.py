@@ -10,11 +10,11 @@ Networks are values: the surgery operations (``cut_edge``, ``wire``,
 never mutate the receiver. Public constructors (``Tensor(...)``,
 ``from_matrix``, ``from_state``, ``Network(...)``) check everything; surgery,
 ``trace_network`` and ``contract`` check only what they add, build from parts
-already checked and never re-validate their results. ``Network(...)``
-normalizes ids and leg names to strings, checks that each node is a Tensor
-and that no two ids are equal as strings, and builds its wiring's key on
-every call; ``_check``, the structural check of that key, runs once per
-wiring and is cached for the last ``_PLANS`` wirings. ``Network.contract``
+already checked and never re-validate their results. Ids and leg names are
+hashable values kept as given; a result leg is named ``f"{node}.{leg}"``.
+``Network(...)`` checks that each node is a Tensor and builds its wiring's
+key on every call; ``_check``, the structural check of that key, runs once
+per wiring and is cached for the last ``_PLANS`` wirings. ``Network.contract``
 replays a plan that ``_plan`` works out once per wiring and caches. Given no
 order, the plan takes at each step the edge whose trace or merge leaves the
 fewest entries (the size-greedy rule of opt_einsum; ties go to the lower edge
@@ -34,6 +34,7 @@ import collections
 import functools
 import itertools
 import math
+from collections.abc import Hashable
 
 import numpy as np
 
@@ -51,8 +52,8 @@ __all__ = [
     "amplitude_via_density",
 ]
 
-#: A network endpoint: (node id, leg name).
-EndPoint = tuple[str, str]
+#: A network endpoint: the tuple (node id, leg name), both hashable and compared as given.
+EndPoint = tuple[Hashable, Hashable]
 
 
 class NetworkError(ValueError):
@@ -63,14 +64,14 @@ class Tensor:
     """A dense complex tensor whose axes are named, dimensioned legs.
 
     Args:
-        legs: ordered (name, dim) pairs, names unique within the tensor.
+        legs: ordered (name, dim) pairs, hashable names unique within the tensor.
         data: complex array of shape ``dims``, one axis per leg in declared order.
     """
 
     __slots__ = ("legs", "data")
 
     def __init__(self, legs, data):
-        legs = _unique(tuple((str(name), linalg._integer("leg dimension", dim)) for name, dim in legs))
+        legs = _unique(tuple((name, linalg._integer("leg dimension", dim)) for name, dim in legs))
         dims = tuple(dim for _, dim in legs)
         if any(dim < 1 for dim in dims):
             raise NetworkError(f"leg dimensions must be positive, got {dims}")
@@ -91,7 +92,7 @@ class Tensor:
     def _of_checked(cls, legs, arr: np.ndarray) -> "Tensor":
         """A Tensor over ``arr`` itself: finite, complex, C-contiguous, of the legs' shape, owned by the caller.
 
-        ``legs`` is a tuple of (str, positive int) pairs with unique names.
+        ``legs`` is a tuple of (name, positive int) pairs with unique hashable names.
         Nothing is checked or copied again; the array is made read-only.
         """
         tensor = object.__new__(cls)
@@ -116,7 +117,7 @@ class Tensor:
     def rank(self) -> int:
         return len(self.legs)
 
-    def leg_dim(self, name: str) -> int:
+    def leg_dim(self, name: Hashable) -> int:
         for leg_name, dim in self.legs:
             if leg_name == name:
                 return dim
@@ -133,7 +134,7 @@ class Tensor:
         return f"Tensor({legs})"
 
 
-def _unique(legs: tuple[tuple[str, int], ...]) -> tuple[tuple[str, int], ...]:
+def _unique(legs: tuple[tuple[Hashable, int], ...]) -> tuple[tuple[Hashable, int], ...]:
     """``legs`` itself, checked for unique names."""
     names = [name for name, _ in legs]
     if len(set(names)) != len(names):
@@ -142,7 +143,7 @@ def _unique(legs: tuple[tuple[str, int], ...]) -> tuple[tuple[str, int], ...]:
 
 
 def _fmt_endpoint(p: EndPoint) -> str:
-    return f"{p[0]}.{p[1]}"
+    return ".".join(map(str, p))
 
 
 def _check_line(p: EndPoint, dp: int, q: EndPoint, dq: int) -> None:
@@ -302,9 +303,10 @@ def _check(nodes, edges, free_legs):
     def dim_of(p):
         if p in dims:
             return dims[p]
-        if all(node_id != p[0] for node_id, _ in nodes):
-            raise NetworkError(f"endpoint {_fmt_endpoint(p)} references unknown node '{p[0]}'")
-        raise NetworkError(f"tensor has no leg named '{p[1]}'")
+        node, leg = p
+        if all(node_id != node for node_id, _ in nodes):
+            raise NetworkError(f"endpoint {_fmt_endpoint(p)} references unknown node '{node}'")
+        raise NetworkError(f"tensor has no leg named '{leg}'")
 
     for p, q in edges:
         _check_line(p, dim_of(p), q, dim_of(q))
@@ -330,33 +332,30 @@ class Network:
         free_legs: ordered (node, leg) pairs; this order fixes the leg order
             of the contraction result.
 
+    Node ids and leg names are kept and compared as given (``1`` and ``"1"``
+    are two nodes). Endpoints are hashable (node, leg) tuples; a list one
+    raises TypeError when the wiring's key is hashed.
+
     Raises:
-        NetworkError: if two node ids are equal as strings, a node is not a
-            Tensor, any leg is dangling or wired more than once, an endpoint
-            references a missing node or leg, or the two endpoints of an
-            edge have different dimensions.
+        NetworkError: if a node is not a Tensor, any leg is dangling or
+            wired more than once, an endpoint references a missing node or
+            leg, or the two endpoints of an edge have different dimensions.
+        ValueError: if an endpoint is not a pair.
 
     The structural check (endpoints, dimensions, legs wired twice or
     dangling) is ``_check``'s, cached per wiring for the last ``_PLANS``
-    wirings; normalization, the Tensor and node id checks and building the
-    wiring's key run on every call.
+    wirings; the Tensor check and building the wiring's key run on every
+    call.
     """
 
     __slots__ = ("nodes", "edges", "free_legs")
 
     def __init__(self, nodes, edges=(), free_legs=()):
-        nodes = dict(nodes)
-        self.nodes = {str(k): v for k, v in nodes.items()}
-        if len(self.nodes) != len(nodes):
-            node_id = next(k for k, count in collections.Counter(map(str, nodes)).items() if count > 1)
-            raise NetworkError(f"node id '{node_id}' is given more than once")
+        self.nodes = dict(nodes)
         for node_id, tensor in self.nodes.items():
             if not isinstance(tensor, Tensor):
                 raise NetworkError(f"node '{node_id}' is not a Tensor")
-        self.edges = [
-            ((str(a), str(x)), (str(b), str(y))) for (a, x), (b, y) in edges
-        ]
-        self.free_legs = [(str(a), str(x)) for a, x in free_legs]
+        self.edges, self.free_legs = list(edges), list(free_legs)
         self._validate()
 
     @classmethod
@@ -437,7 +436,7 @@ class Network:
 
     def _find_edge(self, edge) -> int:
         (a, x), (b, y) = edge
-        target = ((str(a), str(x)), (str(b), str(y)))
+        target = ((a, x), (b, y))
         flipped = (target[1], target[0])
         for i, stored in enumerate(self.edges):
             if stored == target or stored == flipped:
@@ -453,7 +452,7 @@ class Network:
         return Network._of_checked(dict(self.nodes), new_edges, self.free_legs + list(self.edges[i]))
 
     def _free(self, leg) -> EndPoint:
-        leg = (str(leg[0]), str(leg[1]))
+        leg = tuple(leg)
         if leg not in self.free_legs:
             raise NetworkError(f"leg {_fmt_endpoint(leg)} is not free")
         return leg
@@ -467,9 +466,8 @@ class Network:
         remaining = [p for p in self.free_legs if p not in (a, b)]
         return Network._of_checked(dict(self.nodes), self.edges + [(a, b)], remaining)
 
-    def add_node(self, node_id: str, tensor: Tensor) -> "Network":
+    def add_node(self, node_id: Hashable, tensor: Tensor) -> "Network":
         """Add a tensor as a new node; its legs are appended to the free legs."""
-        node_id = str(node_id)
         if node_id in self.nodes:
             raise NetworkError(f"node id '{node_id}' already exists")
         if not isinstance(tensor, Tensor):
@@ -508,7 +506,7 @@ class Network:
 
     def __repr__(self) -> str:
         return (
-            f"Network(nodes={sorted(self.nodes)}, edges={len(self.edges)}, "
+            f"Network(nodes={sorted(self.nodes, key=str)}, edges={len(self.edges)}, "
             f"free={[f'{n}.{l}' for n, l in self.free_legs]})"
         )
 
@@ -566,11 +564,12 @@ def amplitude_via_density(a, b, m) -> complex:
 
     Uses the ket-bra rho = |b><a|, for which tr(rho m) equals <a|m|b> by
     direct computation, matching the graph-surgery amplitude for the same
-    (a, b, m).
+    (a, b, m). An overflow returns its inf or nan value, not a numpy warning.
     """
     a = linalg.as_state(a)
     b = linalg.as_state(b)
     m = linalg.as_square(m)
     linalg._check_acts_on(m, a)
     linalg._check_acts_on(m, b)
-    return complex(np.trace(np.outer(b, a.conj()) @ m))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return complex(np.trace(np.outer(b, a.conj()) @ m))

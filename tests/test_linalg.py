@@ -182,6 +182,11 @@ class TestUnitarity:
     def test_shear_is_not(self):
         assert linalg.unitarity_deviation(np.array([[1, 1], [0, 1]])) > 1e-10
 
+    @pytest.mark.parametrize("m", [[[1e200, 1e200], [1e200, -1e200]], [[1e200 + 1e200j, 0], [0, 1]]])
+    def test_an_overflowing_product_is_infinitely_far(self, m):
+        # The second matrix's U†U has a nan+nanj entry, which would pass any `deviation > tol` test.
+        assert linalg.unitarity_deviation(m) == np.inf
+
     def test_qr_construction_is_unitary(self):
         rng = np.random.default_rng(23)
         for d in (2, 3, 5):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qpath import linalg, measure
+from qpath import linalg, measure, tensornet
 from qpath.measure import (
     HADAMARD,
     MIRROR,
@@ -309,3 +309,30 @@ class TestTeleport:
     def test_dimension_mismatch(self):
         with pytest.raises(linalg.ShapeError):
             teleport_check(np.eye(2), np.ones(3))
+
+
+#: Finite and far from unitary; a product of two of its entries overflows a double.
+OVERFLOWING = np.array([[1e200, 1e200], [1e200, -1e200]])
+
+
+class TestOverflow:
+    # The suite turns numpy warnings into errors, so none may escape ahead of the documented error.
+    @pytest.mark.parametrize("u", [OVERFLOWING, [[1e200 + 1e200j, 0], [0, 1]]])
+    def test_the_unitarity_check_refuses_the_matrix(self, u):
+        for call in (lambda: born_probabilities(u, [0, 1]), lambda: hadamard_test(u, [0, 1], "real", 10, 0)):
+            with pytest.raises(ValueError, match=r"^matrix is not unitary: max \|U†U - I\| entry is inf$"):
+                call()
+
+    def test_amplitude_via_density_returns_the_non_finite_value(self):
+        big = OVERFLOWING[0]
+        assert repr(tensornet.amplitude_via_density(big, big, OVERFLOWING)) == "(nan+nanj)"
+
+    def test_teleport_check_names_the_overflowing_entry(self):
+        with pytest.raises(tensornet.NetworkError, match=r"^entry 0 overflows double precision: contraction "):
+            teleport_check(OVERFLOWING, OVERFLOWING[0])
+
+    def test_brute_force_contract_refuses_the_non_finite_result(self):
+        m = tensornet.Tensor.from_matrix(OVERFLOWING)
+        square = tensornet.Network({"a": m, "b": m}, [(("a", "in"), ("b", "out")), (("b", "in"), ("a", "out"))])
+        with pytest.raises(tensornet.NetworkError, match=r"^tensor entries must be finite$"):
+            tensornet.brute_force_contract(square)

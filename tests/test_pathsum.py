@@ -1,6 +1,7 @@
 """Path enumeration and summation against the matrix-product route."""
 
 import tracemalloc
+from fractions import Fraction
 from itertools import product
 from unittest import mock
 
@@ -488,6 +489,77 @@ class TestColumnSums:
             pathsum._column_sums(pd)
 
 
+#: The unit roundoff of a double.
+U = 2.0**-53
+
+
+def gamma(k):
+    """Higham's gamma_k = k*u / (1 - k*u): the relative error bound of k rounded operations."""
+    return k * U / (1 - k * U)
+
+
+def exact_product(layers):
+    """(re, im) object arrays of Fractions: U_L ... U_1 of the float layers, exactly.
+
+    Every double is a rational, so the sums and products of their Fractions
+    make no rounding error.
+    """
+    fraction = np.vectorize(Fraction, otypes=[object])
+    re, im = fraction(layers[0].real), fraction(layers[0].imag)
+    for layer in layers[1:]:
+        lre, lim = fraction(layer.real), fraction(layer.imag)
+        re, im = lre.dot(re) - lim.dot(im), lre.dot(im) + lim.dot(re)
+    return re, im
+
+
+@st.composite
+def normal_range_layer(draw, d):
+    """A dense or phased-permutation layer scaled by 10**k, |k| <= 30, so no product of six leaves the normal range."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    scale = 10.0 ** draw(st.integers(-30, 30), label="exponent")
+    if draw(st.booleans(), label="dense"):
+        return (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) * scale
+    return np.eye(d)[rng.permutation(d)] * np.exp(2j * np.pi * rng.random(d)) * scale
+
+
+class TestExactOracle:
+    """The matrix route and the path sums lie within a rounding bound of the exact product of the layers.
+
+    Bounds are relative to ``S = |U_L|...|U_1|``, whose (j, i) entry is the
+    sum of the moduli of the path weights from i into j. The path route sums
+    ``N = d**(L-1)`` weights per amplitude, each a product of L complex
+    entries, so it is held within ``2*gamma(N - 1 + 2*L)*S``; the matrix
+    route makes L - 1 products whose entries each sum d complex products,
+    so it is held within ``2*gamma((L - 1)*(d + 2))*S`` (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, ch. 3-4 and section 3.6). N counts
+    every path, the skipped ones through exact zeros included, which only
+    loosens the path bound. The bounds have no underflow term, so the draws
+    keep every partial product in the normal range.
+    """
+
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_each_route_lies_within_its_bound_property(self, data):
+        d = data.draw(st.integers(2, 4), label="d")
+        L = data.draw(st.integers(2, 6), label="L")
+        layers = tuple(data.draw(normal_range_layer(d), label=f"layer {t}") for t in range(L))
+        re, im = exact_product(layers)
+        s = np.abs(layers[0])
+        for layer in layers[1:]:
+            s = np.abs(layer) @ s
+        path_bound, matrix_bound = 2 * gamma(d ** (L - 1) - 1 + 2 * L), 2 * gamma((L - 1) * (d + 2))
+        free = pathsum._column_sums(PathDiagram(d, layers, FREE))
+        matrix = composition_matrix(PathDiagram(d, layers, 0))
+        for i, j in product(range(d), repeat=2):
+            def error(z):
+                return abs(complex(float(Fraction(z.real) - re[j, i]), float(Fraction(z.imag) - im[j, i])))
+
+            pinned = path_sum_amplitude(PathDiagram(d, layers, i), j)
+            assert error(free[i * d + j]) <= path_bound * s[j, i]
+            assert error(pinned) <= path_bound * s[j, i]
+            assert error(matrix[j, i]) <= matrix_bound * s[j, i]
+
+
 class TestInterference:
     def test_destructive_branch(self):
         report = interference_report(mach_zehnder(0), 1)
@@ -614,16 +686,6 @@ class TestDot:
     def test_dot_edge_labels_six_digits(self):
         text = to_dot(emit_lab_diagram(mach_zehnder(0)))
         assert 'label="7.07107e-01+0.00000e+00i"' in text
-
-    def test_dot_role_labels_for_qubit_mirrors(self):
-        text = to_dot(emit_lab_diagram(mach_zehnder(0)), role_labels=True)
-        # the middle mirror only flips the branch: its nonzero edges read R
-        assert '"L2_k0" -> "L3_k1" [label="1.00000e+00+0.00000e+00i R"];' in text
-        assert '"L2_k0" -> "L3_k0" [label="0.00000e+00+0.00000e+00i T"];' in text
-        with pytest.raises(ValueError, match="two-dimensional"):
-            rng = np.random.default_rng(0)
-            pd = PathDiagram(3, (linalg.haar_unitary(3, rng),), 0)
-            to_dot(emit_lab_diagram(pd), role_labels=True)
 
 
 def test_paths_are_value_objects():

@@ -246,14 +246,86 @@ class TestInvariants:
         with pytest.raises(NetworkError, match=r"^leg M\.out is wired more than once$"):
             Network({"M": m}, edges=[(("M", "out"), ("M", "in"))], free_legs=[("M", "in"), ("M", "out")])
 
-    def test_node_ids_equal_as_strings_named(self):
-        # 1 and "1" are one id once made strings; neither node may silently replace the other.
-        a, b = Tensor.from_matrix(np.eye(2)), Tensor.from_matrix(np.eye(2))
-        with pytest.raises(NetworkError, match=r"^node id '1' is given more than once$"):
-            Network({1: a, "1": b}, [], [("1", "out"), ("1", "in")])
-        # The first id, in the order given, that repeats.
-        with pytest.raises(NetworkError, match=r"^node id '0' is given more than once$"):
-            Network({"0": a, 2: a, "2": b, 0: b}, [(("0", "out"), ("0", "in")), (("2", "out"), ("2", "in"))])
+
+def mixed_id_network(rng):
+    """A three-node chain with an int, a tuple and a str node id, and int, tuple and float leg names."""
+    nodes = {
+        0: Tensor([(0, 2), (1, 3)], random_array(rng, (2, 3))),
+        ("t", 1): Tensor([(("x", 0), 3), (2.5, 2), ("in", 2)], random_array(rng, (3, 2, 2))),
+        "s": Tensor.from_matrix(random_matrix(rng, 2)),
+    }
+    edges = [((0, 1), (("t", 1), ("x", 0))), ((("t", 1), 2.5), ("s", "in"))]
+    return Network(nodes, edges, [(0, 0), (("t", 1), "in"), ("s", "out")])
+
+
+def assert_contracts_like_the_oracle(net):
+    fast, slow = net.contract(), brute_force_contract(net)
+    assert fast.legs == slow.legs
+    assert linalg.max_abs_diff(fast.data, slow.data) <= 1e-12
+
+
+class TestIdsAsGiven:
+    """Node ids and leg names are kept and compared as given; a result leg is named ``f"{node}.{leg}"``."""
+
+    def test_ids_equal_as_strings_are_two_nodes(self):
+        rng = np.random.default_rng(41)
+        a, b = random_matrix(rng, 2), random_matrix(rng, 3)
+        net = Network({1: Tensor.from_matrix(a), "1": Tensor.from_matrix(b)},
+                      [((1, "out"), (1, "in")), (("1", "out"), ("1", "in"))])
+        assert list(net.nodes) == [1, "1"]
+        assert net.contract().item() == pytest.approx(np.trace(a) * np.trace(b), rel=1e-12)
+
+    def test_ids_equal_as_strings_may_not_name_two_output_legs_alike(self):
+        eye = Tensor.from_matrix(np.eye(2))
+        net = Network({1: eye, "1": eye}, [], [(1, "out"), (1, "in"), ("1", "out"), ("1", "in")])
+        with pytest.raises(NetworkError, match=r"^duplicate leg names in \['1\.out', '1\.in', '1\.out', '1\.in'\]$"):
+            net.contract()
+
+    def test_int_and_tuple_ids_and_non_string_legs_contract_like_the_oracle(self):
+        net = mixed_id_network(np.random.default_rng(43))
+        assert [name for name, _ in net.contract().legs] == ["0.0", "('t', 1).in", "s.out"]
+        assert repr(net) == "Network(nodes=[('t', 1), 0, 's'], edges=2, free=['0.0', \"('t', 1).in\", 's.out'])"
+        assert_contracts_like_the_oracle(net)
+
+    def test_surgery_keeps_ids_and_leg_names_as_given(self):
+        rng = np.random.default_rng(47)
+        net = mixed_id_network(rng)
+        cut = net.cut_edge((("s", "in"), (("t", 1), 2.5)))
+        assert cut.free_legs[-2:] == [(("t", 1), 2.5), ("s", "in")]
+        grown = cut.add_node(7, Tensor([(None, 2)], random_state(rng, 2))).wire((7, None), (0, 0))
+        built = [cut, cut.wire((("t", 1), 2.5), ("s", "in")), grown,
+                 grown.insert_ket((("t", 1), "in"), random_state(rng, 2)),
+                 grown.insert_bra(("s", "out"), random_state(rng, 2))]
+        assert built[1].edges == net.edges and built[1].free_legs == net.free_legs
+        assert built[3].edges[-1] == (("ket0", "out"), (("t", 1), "in"))
+        for each in built:
+            assert_contracts_like_the_oracle(each)
+
+    def test_a_list_endpoint_is_unhashable(self):
+        eye = Tensor.from_matrix(np.eye(2))
+        with pytest.raises(TypeError, match="unhashable type: 'list'"):
+            Network({"M": eye}, [(["M", "out"], ("M", "in"))])
+        with pytest.raises(TypeError, match="unhashable type: 'list'"):
+            Network({"M": eye}, [], [("M", "out"), ["M", "in"]])
+
+    def test_an_endpoint_that_is_not_a_pair_is_refused(self):
+        eye = Tensor.from_matrix(np.eye(2))
+        for edges, free in (([(("M", "out", "x"), ("M", "in"))], []), ([], [("M", "out"), ("M",)]),
+                            ([(("M", "out"), ("M", "in"), ("M", "in"))], [])):
+            with pytest.raises(ValueError, match="values to unpack"):
+                Network({"M": eye}, edges, free)
+        cut = trace_network(np.eye(2)).cut_edge((("M", "out"), ("M", "in")))
+        for leg in (("M", "in", "x"), ("M",)):
+            with pytest.raises(NetworkError, match=f"^leg {'.'.join(leg)} is not free$"):
+                cut.insert_ket(leg, [1, 0])
+
+    def test_a_wiring_rebuilt_from_the_same_values_is_a_check_hit(self):
+        rng = np.random.default_rng(53)
+        first = mixed_id_network(rng)
+        info = tensornet._check.cache_info()
+        again = mixed_id_network(rng)
+        assert tensornet._check.cache_info()[:2] == (info.hits + 1, info.misses)
+        assert again.edges == first.edges and again.free_legs == first.free_legs
 
 
 class TestContract:
