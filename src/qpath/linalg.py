@@ -150,7 +150,8 @@ def unitarity_deviation(m) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         delta = np.abs(m.conj().T @ m - np.eye(m.shape[0]))
     # Finite entries make a nan only by overflow, and a nan passes every `> tol` test.
-    return float(np.max(np.where(np.isnan(delta), np.inf, delta)))
+    worst = float(np.max(delta))
+    return np.inf if np.isnan(worst) else worst
 
 
 def is_normalized(v) -> bool:

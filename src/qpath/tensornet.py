@@ -187,11 +187,11 @@ def _plan(nodes, edges, free_legs, order):
     and slot d, each as is where x (y) is true and else transposed; otherwise
     ``np.dot(c.transpose(x).reshape(-1, n), d.transpose(y).reshape(n, -1)).reshape(shape)``.
     Returns the steps, the slots left for the outer product, its free-leg
-    permutation, the output legs (checked for unique names), the schedule as a
-    permutation of edge indices, and the peak: the most entries of any step's
-    result or of the output. Raises ContractionCapExceeded, before any array
-    is made, if the peak is over ``ENTRY_CAP``. Legs get integer ids in node
-    then leg order. ``owner[i]`` is the slot holding axis i, or -1 once its
+    permutation, the output dims, the schedule as a permutation of edge
+    indices, and the peak: the most entries of any step's result or of the
+    output. Raises ContractionCapExceeded, before any array is made, if a step
+    is over ``ENTRY_CAP``; ``contract`` checks the output. Legs get integer ids
+    in node then leg order. ``owner[i]`` is the slot holding axis i, or -1 once its
     line is eliminated; ``partner[i]`` is the id across i's edge, or -1 for a
     free leg, which reads the trailing ``owner`` entry, -1.
     """
@@ -281,10 +281,8 @@ def _plan(nodes, edges, free_legs, order):
     schedule += sorted(set(range(len(edges))).difference(schedule))
     axes = [x for part in comp.values() for x in part]
     perm = tuple(axes.index(ids[p]) for p in free_legs)
-    # Distinct (node, leg) pairs can still join to one name ("a.b" + "c", "a" + "b.c").
-    out_legs = _unique(tuple((f"{node}.{leg}", dims[ids[(node, leg)]]) for node, leg in free_legs))
-    peak = max(peak, _over_cap("the contraction's output", tuple(dim for _, dim in out_legs)))
-    return tuple(steps), tuple(comp), perm, out_legs, tuple(schedule), peak
+    out_dims = tuple(dims[ids[p]] for p in free_legs)
+    return tuple(steps), tuple(comp), perm, out_dims, tuple(schedule), max(peak, math.prod(out_dims))
 
 
 @functools.lru_cache(maxsize=_PLANS)
@@ -409,7 +407,10 @@ class Network:
             if sorted(order) != list(range(len(self.edges))):
                 raise ValueError("order must be a permutation of edge indices")
             order = tuple(order)
-        steps, final, perm, out_legs, _, _ = _plan(*self._wiring(), order)
+        steps, final, perm, out_dims, _, _ = _plan(*self._wiring(), order)
+        # Named per call: one plan serves ids equal but printed apart (1, 1.0, True); ("a.b", "c") and ("a", "b.c") clash.
+        out_legs = _unique(tuple((f"{node}.{leg}", dim) for (node, leg), dim in zip(self.free_legs, out_dims)))
+        _over_cap("the contraction's output", out_dims)
         arrs = [tensor.data for tensor in self.nodes.values()]
         # An overflow is named below, not left to escape as a numpy warning.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -436,14 +437,10 @@ class Network:
 
     def _find_edge(self, edge) -> int:
         (a, x), (b, y) = edge
-        target = ((a, x), (b, y))
-        flipped = (target[1], target[0])
         for i, stored in enumerate(self.edges):
-            if stored == target or stored == flipped:
+            if stored in (((a, x), (b, y)), ((b, y), (a, x))):
                 return i
-        raise NetworkError(
-            f"edge {_fmt_endpoint(target[0])} -- {_fmt_endpoint(target[1])} is not in the network"
-        )
+        raise NetworkError(f"edge {a}.{x} -- {b}.{y} is not in the network")
 
     def cut_edge(self, edge) -> "Network":
         """Remove an edge; its endpoints become free legs, first endpoint first."""

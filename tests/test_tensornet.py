@@ -281,6 +281,17 @@ class TestIdsAsGiven:
         with pytest.raises(NetworkError, match=r"^duplicate leg names in \['1\.out', '1\.in', '1\.out', '1\.in'\]$"):
             net.contract()
 
+    def test_ids_equal_as_keys_keep_their_own_names(self):
+        # One wiring key, four spellings: the later ones replay the first's plan but name legs from their own ids.
+        a = random_matrix(np.random.default_rng(59), 2)
+        spellings = ((1, 0), (1.0, 0.0), (True, False), (np.float64(1.0), np.int64(0)))
+        for k, (node, leg) in enumerate(spellings):
+            net = Network({node: Tensor([(leg, 2), ("in", 2)], a)}, [], [(node, leg), (node, "in")])
+            hits = tensornet._plan.cache_info().hits
+            assert [name for name, _ in net.contract().legs] == [f"{node}.{leg}", f"{node}.in"]
+            assert tensornet._plan.cache_info().hits == hits + (k > 0)
+            assert_contracts_like_the_oracle(net)
+
     def test_int_and_tuple_ids_and_non_string_legs_contract_like_the_oracle(self):
         net = mixed_id_network(np.random.default_rng(43))
         assert [name for name, _ in net.contract().legs] == ["0.0", "('t', 1).in", "s.out"]
