@@ -17,13 +17,18 @@ key on every call; ``_check``, the structural check of that key, runs once
 per wiring and is cached for the last ``_PLANS`` wirings. ``Network.contract``
 replays a plan that ``_plan`` works out once per wiring and caches. Given no
 order, the plan takes at each step the edge whose trace or merge leaves the
-fewest entries (the size-greedy rule of opt_einsum; ties go to the lower edge
-index, so a ring or chain keeps its listed order). It merges components pair
-by pair, sums every line the two share with one transpose, reshape and
-``np.dot`` (numpy's ``tensordot`` arithmetic, bit for bit), passes two
-matrices sharing one line to ``np.dot`` as they are or transposed, and
-removes self-loops by a partial trace. A plan whose largest array would
-exceed ``ENTRY_CAP`` entries is refused before any arithmetic.
+fewest entries (the size-greedy rule of opt_einsum). A tie between merges of
+two matrices goes to the one whose matrices took fewer such merges to build,
+any other tie to the lower edge index, so a chain or ring of one dimension
+merges neighbours pairwise, level by level, in a tree of depth
+ceil(log2 N). It merges components pair by pair, sums every line the two
+share with one transpose, reshape and ``np.dot`` (numpy's ``tensordot``
+arithmetic, bit for bit), passes two matrices sharing one line to ``np.dot``
+as they are or transposed, and removes self-loops by a partial trace. A run
+of such matrix merges that read no result of one another, a level of the
+tree, is one ``np.matmul`` on stacked operands, the same bytes as its
+``np.dot`` calls. A plan whose largest array would exceed ``ENTRY_CAP``
+entries is refused before any arithmetic.
 ``brute_force_contract`` is an intentionally naive all-index-assignment
 summation kept as an independent oracle, sharing no code with the engine.
 """
@@ -180,12 +185,17 @@ def _plan(nodes, edges, free_legs, order):
     """``Network.contract``'s steps for one wiring: each node's (id, legs), edges, free legs, order.
 
     With ``order`` None the plan picks the schedule: each step takes the live
-    edge whose trace or merge leaves the fewest entries, the lowest edge index
-    on a tie, so a wiring on which every candidate ties keeps its listed order.
+    edge whose trace or merge leaves the fewest entries. On a tie between two
+    components of two legs each it takes the pair whose deeper one took the
+    fewest merges of two matrices to build (``depth``), then the lowest edge
+    index; a tie with or among other steps goes to the lowest edge index, so
+    a torus, whose tensors have four legs, keeps the schedule of that alone.
     Node k's array fills slot k. A step ``(c, d, x, y, n, shape)`` sets slot
     c to: if d == c, its trace over axes x and y; if n == 0, ``np.dot`` of it
-    and slot d, each as is where x (y) is true and else transposed; otherwise
+    and slot d, each as is where x (y) is true and else transposed, on
+    operands of shapes (m, k) and (k, p) where ``shape`` is (m, k, p); otherwise
     ``np.dot(c.transpose(x).reshape(-1, n), d.transpose(y).reshape(n, -1)).reshape(shape)``.
+    ``_levels`` then makes each level of matrix merges one step, n == -1.
     Returns the steps, the slots left for the outer product, its free-leg
     permutation, the output dims, the schedule as a permutation of edge
     indices, and the peak: the most entries of any step's result or of the
@@ -208,6 +218,8 @@ def _plan(nodes, edges, free_legs, order):
     for p, q in lines:
         partner[p], partner[q] = q, p
 
+    depth = dict.fromkeys(comp, 0)  # levels of merges of two matrices under each component
+
     def cheapest():
         # A merge sums every line the two components share, so its cost is per pair.
         while True:
@@ -225,8 +237,9 @@ def _plan(nodes, edges, free_legs, order):
                     left = size[cp] // dims[p] ** 2
                 else:
                     left = size[cp] * size[cq] // (shared.get((cp, cq), 1) * shared.get((cq, cp), 1)) ** 2
-                if best is None or left < best[0]:
-                    best = (left, e)
+                key = (left, max(depth[cp], depth[cq]) if len(comp[cp]) == 2 == len(comp[cq]) else 0)
+                if best is None or key < best[0]:
+                    best = (key, e)
             if best is None:
                 return
             yield best[1]
@@ -272,17 +285,83 @@ def _plan(nodes, edges, free_legs, order):
         pa, pb = tuple(keep_a + ia), tuple(ib + keep_b)
         shape = tuple(dims[x] for x in axes)
         peak = max(peak, _over_cap(f"contraction step {len(steps) + 1} (edge {e}, a merge)", shape))
-        if len(pa) == 2 == len(pb) and len(ia) == 1:
+        n = math.prod(dims[lb[k]] for k in ib)
+        matrices = len(pa) == 2 == len(pb) and len(ia) == 1
+        depth[cp] = max(depth[cp], depth.pop(cq)) + matrices
+        if matrices:
             # Two matrices sharing one line: the dot's operands are a or a.T and b or b.T themselves.
-            steps.append((cp, cq, pa == (0, 1), pb == (0, 1), 0, None))
+            steps.append((cp, cq, pa == (0, 1), pb == (0, 1), 0, (shape[0], n, shape[1])))
         else:
-            steps.append((cp, cq, pa, pb, math.prod(dims[lb[k]] for k in ib), shape))
+            steps.append((cp, cq, pa, pb, n, shape))
         comp[cp] = axes
     schedule += sorted(set(range(len(edges))).difference(schedule))
     axes = [x for part in comp.values() for x in part]
     perm = tuple(axes.index(ids[p]) for p in free_legs)
     out_dims = tuple(dims[ids[p]] for p in free_legs)
-    return tuple(steps), tuple(comp), perm, out_dims, tuple(schedule), max(peak, math.prod(out_dims))
+    return _levels(steps, comp), tuple(comp), perm, out_dims, tuple(schedule), max(peak, math.prod(out_dims))
+
+
+def _levels(steps, final):
+    """``steps`` with each level of merges of two matrices made one step, replayed by one ``np.matmul``.
+
+    A level is a run of consecutive merges, each of two matrices of the same
+    shape with no dim below 2, both as is or both transposed, and none
+    reading a slot an earlier one in the run wrote; its stacks and result
+    together hold at most ``ENTRY_CAP`` entries. Other steps and runs of one
+    merge, or over the cap, stay merge by merge. On such operands ``matmul``
+    makes ``np.dot``'s bytes, gemm on each pair, where ``np.dot`` sends a
+    1 x n operand to gemv or a plain loop and a matrix times its own
+    transpose to syrk. A level is ``(a, b, x, y, -1, put)``: its left
+    operands are the slots in the tuple ``a``, stacked, or the slice ``a``
+    of the last level's result, and its right ones are ``b`` likewise. Merge
+    k's result is item k of the level's result; ``put`` lists each (slot, k)
+    that a later step reads on its own, so the replay puts item k in slot
+    c[k] then.
+    """
+    runs, written = [], set()
+    for step in steps:
+        c, d, x, y, n, shape = step
+        key = (x, shape) if n == 0 and c != d and x == y and min(shape) >= 2 else None
+        if key and runs and runs[-1][0] == key and c not in written and d not in written:
+            runs[-1][1].append(step)
+        else:
+            runs.append((key, [step]))
+            written.clear()
+        written.add(c)
+
+    out, puts, held = [], [], {}  # held: slot -> (level, k) while the slot's value is item k of a level's result
+
+    def read(slot):
+        if slot in held:
+            level, k = held.pop(slot)
+            puts[level].append((slot, k))
+
+    def source(slots):
+        # A slice where the last level's result holds every operand at one stride; else a stack.
+        at = [held.get(slot, (-1, 0)) for slot in slots]
+        first, stride = at[0][1], at[1][1] - at[0][1]
+        if stride > 0 and at == [(len(puts) - 1, first + k * stride) for k in range(len(at))]:
+            return slice(first, at[-1][1] + 1, stride)
+        for slot in slots:
+            read(slot)
+        return tuple(slots)
+
+    for key, run in runs:
+        m, n, p = key[1] if key else (0, 0, 0)
+        if len(run) == 1 or len(run) * (m * n + n * p + m * p) > ENTRY_CAP:
+            for c, d, *_ in run:
+                read(c)
+                read(d)
+            out += run
+            continue
+        cs, ds = [step[0] for step in run], [step[1] for step in run]
+        a, b = source(cs), source(ds)
+        held.update((c, (len(puts), k)) for k, c in enumerate(cs))
+        out.append((a, b, key[0], key[0], -1, len(puts)))
+        puts.append([])
+    for c in final:
+        read(c)
+    return tuple(step if step[4] >= 0 else (*step[:5], tuple(puts[step[5]])) for step in out)
 
 
 @functools.lru_cache(maxsize=_PLANS)
@@ -389,13 +468,17 @@ class Network:
         transpose, reshape and ``np.dot`` that numpy's ``tensordot`` makes),
         and edges already eliminated that way are skipped when their turn
         comes; two matrices sharing one line go to ``np.dot`` as they are or
-        transposed. Self-loops are removed by a partial trace, disconnected
-        remainders combined by an outer product. ``_plan`` works these steps
-        out once per wiring and ``order`` and caches them; each call replays
-        them on the node arrays. ``order`` optionally gives a permutation of
-        edge indices to process, replayed as given; without it the plan picks
-        the edge whose step leaves the fewest entries, the lowest index on a
-        tie. Any order yields the same result up to float reassociation. A
+        transposed, and a run of such merges that need no result of one
+        another goes to one ``np.matmul``, with the same bytes. Self-loops are
+        removed by a partial trace, disconnected remainders combined by an
+        outer product. ``_plan`` works these steps out once per wiring and
+        ``order`` and caches them; each call replays them on the node arrays.
+        ``order`` optionally gives a permutation of edge indices to process,
+        replayed as given; without it the plan picks the edge whose step
+        leaves the fewest entries, breaking ties so that a chain or ring of
+        one dimension merges neighbours pairwise, one level at a time, and
+        ``contract()`` equals ``contract(order=<that schedule>)`` byte for
+        byte. Any order yields the same result up to float reassociation. A
         network with no free legs contracts to a rank-0 tensor. If a step or
         the output would make more than ``ENTRY_CAP`` entries,
         ContractionCapExceeded names it before any arithmetic. If an entry
@@ -415,6 +498,14 @@ class Network:
         # An overflow is named below, not left to escape as a numpy warning.
         with np.errstate(over="ignore", invalid="ignore"):
             for c, d, x, y, n, shape in steps:
+                if n < 0:
+                    # A level of merges: one matmul, its operands stacked or sliced from the last level's result.
+                    a = level[c] if type(c) is slice else np.array([arrs[k] for k in c])
+                    b = level[d] if type(d) is slice else np.array([arrs[k] for k in d])
+                    level = np.matmul(a if x else a.transpose(0, 2, 1), b if y else b.transpose(0, 2, 1))
+                    for slot, k in shape:
+                        arrs[slot] = level[k]
+                    continue
                 a, b = arrs[c], arrs[d]
                 if c == d:
                     arrs[c] = np.trace(a, axis1=x, axis2=y)

@@ -599,22 +599,24 @@ def reference_contract(net, order=None):
     return tuple((f"{node}.{leg}", dim) for (node, leg), dim in zip(net.free_legs, out.shape)), out
 
 
-def matrix_network(rng, kind, n, dim=None):
+def matrix_network(rng, kind, n, dim=None, flips=True):
     """n rank-2 nodes in a line, each line of dim 1-5 (or all of ``dim``), each node wired by a random leg.
 
     ``open`` leaves the two end legs free, ``ring`` closes the line (n=2 joins
     two nodes by both legs), ``cut`` cuts a ring open and closes it with a ket
     and a bra, and ``loose`` drops some lines so that nodes keep free legs.
+    Without ``flips`` every node's legs are (out, in) and every edge runs
+    ``n<k>.out -- n<k+1>.in``, as ``Tensor.from_matrix`` and a ``.qpd`` chain wire them.
     """
     dims = [int(rng.integers(1, 6)) for _ in range(n)] if dim is None else [dim] * n  # line k joins node k to k+1
     nodes, ends = {}, []
     for k in range(n):
         legs = [("out", dims[k]), ("in", dims[k - 1])]
-        if rng.random() < 0.5:
+        if flips and rng.random() < 0.5:
             legs.reverse()
         nodes[f"n{k}"] = Tensor(legs, random_array(rng, [dim for _, dim in legs]))
         ends.append(((f"n{k}", "out"), (f"n{(k + 1) % n}", "in")))
-    edges = [(q, p) if rng.random() < 0.5 else (p, q) for p, q in ends]
+    edges = [(q, p) if flips and rng.random() < 0.5 else (p, q) for p, q in ends]
     if kind in ("open", "loose"):
         dropped = [k for k in range(n - 1) if kind == "loose" and rng.random() < 0.3]
         free = [leg for k in [n - 1, *dropped] for leg in edges[k]]
@@ -631,10 +633,14 @@ def matrix_network(rng, kind, n, dim=None):
 class TestMatrixMerge:
     @settings(max_examples=400)
     @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["open", "ring", "cut", "loose", "random"]),
-           n=st.integers(2, 8), data=st.data())
-    def test_equals_the_general_loop_bit_for_bit(self, seed, kind, n, data):
+           dim=st.none() | st.integers(1, 4), flips=st.booleans(), data=st.data())
+    def test_equals_the_general_loop_bit_for_bit(self, seed, kind, dim, flips, data):
+        # Lines of one dim give levels of several merges, each level one matmul where no dim is 1.
         rng = np.random.default_rng(seed)
-        net = random_network(rng) if kind == "random" else matrix_network(rng, kind, n)
+        if kind == "loose":
+            dim = None  # free legs on every dropped line: keep the output small
+        n = data.draw(st.integers(2, 8 if dim is None else 48), label="n")
+        net = random_network(rng) if kind == "random" else matrix_network(rng, kind, n, dim, flips)
         order = data.draw(st.permutations(range(len(net.edges))), label="order")
         for got, (legs, want) in ((net.contract(), reference_contract(net, plan_of(net)[4])),
                                   (net.contract(order=order), reference_contract(net, order))):
@@ -824,16 +830,32 @@ class TestGreedyPlan:
             for this in (net, fresh):
                 assert this.contract().data.tobytes() == this.contract(order=schedule).data.tobytes()
 
-    @pytest.mark.parametrize("seed", range(12))
-    def test_a_wiring_where_every_step_ties_keeps_its_listed_order(self, seed):
-        rng = np.random.default_rng(seed)
-        d, n = 1 + seed % 4, 2 + seed % 7
-        for net in (*(matrix_network(rng, kind, n, dim=d) for kind in ("open", "ring", "loose")),
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 8, 13, 24, 32, 47, 48])
+    def test_a_chain_or_ring_of_one_dimension_merges_neighbours_pairwise(self, d, n):
+        # Every candidate ties on these wirings; the plan pairs n0 n1, n2 n3, ... and then their results.
+        rng = np.random.default_rng(100 * d + n)
+        for net in (*(matrix_network(rng, kind, n, dim=d) for kind in ("open", "ring")),
                     as_document(matrix_network(rng, "open", n, dim=d)).network(),
                     as_document(matrix_network(rng, "ring", n, dim=d)).network()):
-            listed = tuple(range(len(net.edges)))
-            assert plan_of(net)[4] == listed
-            assert net.contract().data.tobytes() == net.contract(order=listed).data.tobytes()
+            schedule, peak = plan_of(net)[4:]
+            assert schedule[: n // 2] == tuple(range(0, n - 1, 2))[: n // 2]
+            assert merge_depth(net, schedule) == (n - 1).bit_length()
+            assert peak <= plan_of(net, range(len(net.edges)))[5]  # the lowest-index rule's listed order
+            got = net.contract().data.tobytes()
+            assert got == net.contract(order=schedule).data.tobytes()
+            assert got == reference_contract(net, schedule)[1].tobytes()
+
+    @pytest.mark.parametrize("d, n, levels, steps", [(4, 32, 4, 5), (2, 48, 4, 6), (8, 16, 3, 4), (3, 5, 1, 3),
+                                                     (2, 2, 0, 1), (1, 8, 0, 7)])
+    def test_a_ring_replays_one_matmul_per_level(self, d, n, levels, steps):
+        # (4, 32): levels of 16, 8, 4 and 2 merges, then the closing merge;
+        # (2, 48): levels of 24, 12, 6 and 3, one merge of two, then the closing merge;
+        # (3, 5): a level of 2, one merge of two, then the closing merge; d = 1 stays merge by merge.
+        net = matrix_network(np.random.default_rng(n), "ring", n, dim=d, flips=False)
+        plan = plan_of(net)[0]
+        assert (sum(step[4] < 0 for step in plan), len(plan)) == (levels, steps)
+        assert net.contract().data.tobytes() == reference_contract(net, plan_of(net)[4])[1].tobytes()
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_a_cut_ring_takes_its_ket_first_and_makes_only_vectors(self, n):
@@ -849,6 +871,18 @@ class TestGreedyPlan:
         assert plan_of(net)[5] == 256
         assert plan_of(net, range(len(net.edges)))[5] == 4096
         assert abs(net.contract().item() - ref) <= 1e-9 * abs(ref)
+
+
+def merge_depth(net, schedule):
+    """The depth of the tree of merges that contracting ``net`` in ``schedule`` builds: 0 for one node."""
+    group, depth = {node_id: node_id for node_id in net.nodes}, dict.fromkeys(net.nodes, 0)
+    for e in schedule:
+        (a, _), (b, _) = net.edges[e]
+        ga, gb = group[a], group[b]
+        if ga != gb:
+            depth[ga] = max(depth[ga], depth.pop(gb)) + 1
+            group = {node_id: ga if g == gb else g for node_id, g in group.items()}
+    return max(depth.values())
 
 
 def vectors_through_a_wide_matrix(n):
@@ -892,6 +926,30 @@ class TestEntryCap:
             rf"33554432 entries, exceeding the cap of {ENTRY_CAP}$"
         )):
             net.contract()
+
+    def test_a_level_over_the_cap_is_planned_merge_by_merge(self):
+        # A wiring key alone, no arrays: a chain of 2**8 nodes of dim 2**9. Each merge makes 2**18
+        # entries; a level of k merges would stack 3 * k * 2**18, over the cap for k of 32 or more.
+        n, d = 2**8, 2**9
+        nodes = tuple((f"n{k}", (("out", d), ("in", d))) for k in range(n))
+        edges = tuple(((f"n{k}", "out"), (f"n{k + 1}", "in")) for k in range(n - 1))
+        steps, *_, peak = tensornet._plan(nodes, edges, ((f"n{n - 1}", "out"), ("n0", "in")), None)
+        assert peak == d * d
+        assert [step[4] for step in steps] == [0] * (128 + 64 + 32) + [-1] * 4 + [0]
+        level = steps[128 + 64 + 32]
+        assert len(level[0]) == 16 and 3 * 16 * d * d <= ENTRY_CAP
+
+    def test_a_level_over_a_lowered_cap_replays_merge_by_merge(self, monkeypatch):
+        # Levels of 16 and 8 merges of 4 x 4 matrices go over 192 entries, levels of 4 and 2 do not.
+        net = matrix_network(np.random.default_rng(41), "ring", 32, dim=4, flips=False)
+        tensornet._plan.cache_clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(tensornet, "ENTRY_CAP", 192)
+            steps = plan_of(net)[0]
+            got = net.contract().data.tobytes()
+        tensornet._plan.cache_clear()
+        assert [step[4] for step in steps] == [0] * (16 + 8) + [-1] * 2 + [16]
+        assert got == reference_contract(net, plan_of(net)[4])[1].tobytes() == net.contract().data.tobytes()
 
     def test_a_plan_at_the_cap_is_made(self):
         # 2**24 entries in a plan only: two free legs of 4096 on nodes of 4096 entries each.
@@ -968,20 +1026,27 @@ class TestExactOracle:
         assert (re[()], im[()]) == (Fraction(want.real), Fraction(want.imag))
 
     @settings(max_examples=60)
-    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["random", "torus", "cut"]),
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["random", "torus", "cut", "ring", "open", "doc"]),
            n=st.integers(2, 8), data=st.data())
     def test_the_planned_and_any_order_lie_within_the_rounding_bound(self, seed, kind, n, data):
         # Each term of the result passes through at most 2*n_s roundings in a step that
         # sums n_s complex terms (a real dot of 2*n_s terms) and through 2 in each outer
         # product, so |contract - exact| <= C * k * u * |N| entrywise, with
         # k = 2 * sum(n_s) + 2 * (number of nodes) and u the unit roundoff.
+        # Chains and rings of one dimension get the pairwise plan, of up to 24 nodes.
         rng = np.random.default_rng(seed)
         if kind == "torus":
             net, _ = torus(rng, 2, n % 3 + 2)
         elif kind == "cut":
             net = matrix_network(rng, "cut", n)
-        else:
+        elif kind == "random":
             net = random_network(rng)
+        else:
+            d, n = data.draw(st.integers(1, 4), label="d"), data.draw(st.integers(2, 24), label="n")
+            closed = data.draw(st.booleans(), label="closed") if kind == "doc" else kind == "ring"
+            net = matrix_network(rng, "ring" if closed else "open", n, dim=d, flips=kind != "doc")
+            if kind == "doc":
+                net = as_document(net).network()
         order = data.draw(st.permutations(range(len(net.edges))), label="order")
         re, im = exact_contract(net)
         size, _ = exact_contract(net, magnitudes=True)
