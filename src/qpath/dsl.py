@@ -155,11 +155,13 @@ class Document:
 
     def network(self) -> tensornet.Network:
         """Build the declared node/edge/free wiring as a Network."""
-        nodes = {}
+        nodes, legs = {}, {}  # legs: one tuple per array shape, so per node kind in a parsed document
         for node_id, (kind, ref) in self.node_refs.items():
             # One copy of the parser-checked array; a gate's legs are (out, in).
             arr = np.array((self.gates if kind == "gate" else self.states)[ref], complex, order="C")
-            nodes[node_id] = tensornet.Tensor._of_checked(tuple(zip(("out", "in"), arr.shape)), arr)
+            if arr.shape not in legs:
+                legs[arr.shape] = tuple(zip(("out", "in"), arr.shape))
+            nodes[node_id] = tensornet.Tensor._of_checked(legs[arr.shape], arr)
         return tensornet.Network(nodes, self.edges, self.free)
 
 

@@ -213,8 +213,8 @@ def cup_cap_network(m) -> Network:
     cup = Tensor._of_checked((("out0", d), ("out1", d)), np.eye(d, dtype=complex))
     return Network._of_checked(
         {"cap": cap, "cup": cup},
-        [(("cap", "in1"), ("cup", "out0"))],
-        [("cap", "in0"), ("cup", "out1")],
+        ((("cap", "in1"), ("cup", "out0")),),
+        (("cap", "in0"), ("cup", "out1")),
     )
 
 

@@ -12,10 +12,11 @@ never mutate the receiver. Public constructors (``Tensor(...)``,
 ``trace_network`` and ``contract`` check only what they add, build from parts
 already checked and never re-validate their results. Ids and leg names are
 hashable values kept as given; a result leg is named ``f"{node}.{leg}"``.
-``Network(...)`` checks that each node is a Tensor and builds its wiring's
-key on every call; ``_check``, the structural check of that key, runs once
-per wiring and is cached for the last ``_PLANS`` wirings. ``Network.contract``
-replays a plan that ``_plan`` works out once per wiring and caches. Given no
+A network's wiring is frozen, so its key is built and hashed once, by
+``Network(...)`` or by a checked-parts network's first ``contract``;
+``_check``, the structural check of that key, runs once per wiring and is
+cached for the last ``_PLANS`` wirings. ``Network.contract`` passes the key
+to ``_plan`` and replays the plan it works out once per wiring. Given no
 order, the plan takes at each step the edge whose trace or merge leaves the
 fewest entries (the size-greedy rule of opt_einsum). A tie between merges of
 two matrices goes to the one whose matrices took fewer such merges to build,
@@ -40,6 +41,7 @@ import functools
 import itertools
 import math
 from collections.abc import Hashable
+from types import MappingProxyType
 
 import numpy as np
 
@@ -87,8 +89,8 @@ class Tensor:
             raise NetworkError("tensor entries must be finite")
         arr = arr.copy()
         arr.setflags(write=False)
-        object.__setattr__(self, "legs", legs)
-        object.__setattr__(self, "data", arr)
+        Tensor.legs.__set__(self, legs)
+        Tensor.data.__set__(self, arr)
 
     def __setattr__(self, name, value):
         raise AttributeError("Tensor is immutable")
@@ -102,8 +104,8 @@ class Tensor:
         """
         tensor = object.__new__(cls)
         arr.setflags(write=False)
-        object.__setattr__(tensor, "legs", legs)
-        object.__setattr__(tensor, "data", arr)
+        Tensor.legs.__set__(tensor, legs)  # the slot descriptors: ``__setattr__`` refuses, object's is slower
+        Tensor.data.__set__(tensor, arr)
         return tensor
 
     @classmethod
@@ -180,9 +182,21 @@ def _over_cap(what: str, shape: tuple[int, ...]) -> int:
     return entries
 
 
+class _Wiring(tuple):
+    """A wiring's key for ``_check`` and ``_plan``: its hash, taken once, each node's (id, legs), edges, free legs."""
+
+    __slots__ = ()
+
+    def __new__(cls, nodes: tuple, edges: tuple, free_legs: tuple):
+        return tuple.__new__(cls, (hash((nodes, edges, free_legs)), nodes, edges, free_legs))
+
+    def __hash__(self):
+        return self[0]  # so a cache lookup hashes no nested tuple
+
+
 @functools.lru_cache(maxsize=_PLANS)
-def _plan(nodes, edges, free_legs, order):
-    """``Network.contract``'s steps for one wiring: each node's (id, legs), edges, free legs, order.
+def _plan(wiring, order):
+    """``Network.contract``'s steps for one wiring, given by its ``_Wiring`` key, and order.
 
     With ``order`` None the plan picks the schedule: each step takes the live
     edge whose trace or merge leaves the fewest entries. On a tie between two
@@ -205,6 +219,7 @@ def _plan(nodes, edges, free_legs, order):
     line is eliminated; ``partner[i]`` is the id across i's edge, or -1 for a
     free leg, which reads the trailing ``owner`` entry, -1.
     """
+    _, nodes, edges, free_legs = wiring
     ids, comp, owner, dims = {}, {}, [], []
     for key, (node_id, legs) in enumerate(nodes):
         comp[key] = list(range(len(owner), len(owner) + len(legs)))
@@ -365,16 +380,18 @@ def _levels(steps, final):
 
 
 @functools.lru_cache(maxsize=_PLANS)
-def _check(nodes, edges, free_legs):
-    """``Network``'s structural check of one wiring, keyed as ``_plan`` is: each node's (id, legs), edges, free legs.
+def _check(wiring):
+    """``Network``'s structural check of one wiring, given by its ``_Wiring`` key, the one ``_plan`` gets.
 
     Raises the first NetworkError that applies: edge by edge, an endpoint on
     an unknown node or leg, then a line whose two dimensions differ; then a
     free leg on an unknown node or leg; then the first leg wired more than
     once; then the first dangling leg in node then leg order. A wiring that
     passes is cached; ``lru_cache`` stores no exception, so one refused is
-    checked again on every call.
+    checked again on every call. Returns the first key of an equal wiring
+    that passed, which ``Network`` keeps so ``_plan`` finds it by identity.
     """
+    _, nodes, edges, free_legs = wiring
     dims = {(node_id, leg): dim for node_id, legs in nodes for leg, dim in legs}
 
     def dim_of(p):
@@ -397,6 +414,7 @@ def _check(nodes, edges, free_legs):
     if len(distinct) != len(dims):
         point = next(p for p in dims if p not in distinct)
         raise NetworkError(f"dangling leg {_fmt_endpoint(point)}")
+    return wiring
 
 
 class Network:
@@ -419,28 +437,40 @@ class Network:
             leg, or the two endpoints of an edge have different dimensions.
         ValueError: if an endpoint is not a pair.
 
-    The structural check (endpoints, dimensions, legs wired twice or
-    dangling) is ``_check``'s, cached per wiring for the last ``_PLANS``
-    wirings; the Tensor check and building the wiring's key run on every
-    call.
+    A network is a value: ``nodes`` is a read-only view of its own dict,
+    ``edges`` and ``free_legs`` are tuples and no attribute can be set, so
+    the wiring's key is built and hashed once, here, and every ``contract``
+    reuses it. ``_check``'s structural check (endpoints, dimensions, legs
+    wired twice or dangling) is cached for the last ``_PLANS`` wirings.
     """
 
-    __slots__ = ("nodes", "edges", "free_legs")
+    __slots__ = ("nodes", "edges", "free_legs", "_key")
 
     def __init__(self, nodes, edges=(), free_legs=()):
-        self.nodes = dict(nodes)
-        for node_id, tensor in self.nodes.items():
+        nodes = dict(nodes)
+        for node_id, tensor in nodes.items():
             if not isinstance(tensor, Tensor):
                 raise NetworkError(f"node '{node_id}' is not a Tensor")
-        self.edges, self.free_legs = list(edges), list(free_legs)
+        self._set(nodes, tuple(edges), tuple(free_legs))
         self._validate()
 
     @classmethod
-    def _of_checked(cls, nodes, edges, free_legs) -> "Network":
-        """A Network over the caller's own fresh containers of valid wiring; nothing is checked."""
-        net = object.__new__(cls)
-        net.nodes, net.edges, net.free_legs = nodes, edges, free_legs
-        return net
+    def _of_checked(cls, nodes: dict, edges: tuple, free_legs: tuple) -> "Network":
+        """A Network over the caller's own fresh dict and tuples of valid wiring; unchecked, keyed on first use."""
+        return object.__new__(cls)._set(nodes, edges, free_legs)
+
+    def _set(self, nodes: dict, edges: tuple, free_legs: tuple) -> "Network":
+        Network.nodes.__set__(self, MappingProxyType(nodes))  # the slot descriptors, since ``__setattr__`` refuses
+        Network.edges.__set__(self, edges)
+        Network.free_legs.__set__(self, free_legs)
+        Network._key.__set__(self, None)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Network is immutable")
+
+    def __copy__(self):
+        return self  # a value, as a tuple is: ``copy`` would restore the slots through ``__setattr__``
 
     def _dim_of(self, p: EndPoint) -> int:
         node, leg = p
@@ -448,15 +478,17 @@ class Network:
             raise NetworkError(f"endpoint {_fmt_endpoint(p)} references unknown node '{node}'")
         return self.nodes[node].leg_dim(leg)
 
-    def _wiring(self):
-        """The key ``_check`` and ``_plan`` cache by: each node's (id, legs) in node order, the edges, the free legs."""
-        # Tuples from lists: one grown from a generator is resized, which fills CPython's tuple free lists.
-        return (tuple([(node_id, t.legs) for node_id, t in self.nodes.items()]),
-                tuple(self.edges), tuple(self.free_legs))
+    def _wiring_key(self) -> _Wiring:
+        """The key ``_check`` and ``_plan`` cache this wiring by, built and hashed on first use and kept."""
+        if self._key is None:
+            # A tuple from a list: one grown from a generator is resized, which fills CPython's tuple free lists.
+            nodes = tuple([(node_id, t.legs) for node_id, t in self.nodes.items()])
+            Network._key.__set__(self, _Wiring(nodes, self.edges, self.free_legs))
+        return self._key
 
     def _validate(self) -> None:
         """Raise the NetworkError ``_check`` finds in this network's wiring, checked once per wiring."""
-        _check(*self._wiring())
+        Network._key.__set__(self, _check(self._wiring_key()))
 
     # -- contraction -------------------------------------------------------
 
@@ -472,7 +504,7 @@ class Network:
         another goes to one ``np.matmul``, with the same bytes. Self-loops are
         removed by a partial trace, disconnected remainders combined by an
         outer product. ``_plan`` works these steps out once per wiring and
-        ``order`` and caches them; each call replays them on the node arrays.
+        ``order``, cached by the network's key; each call replays them.
         ``order`` optionally gives a permutation of edge indices to process,
         replayed as given; without it the plan picks the edge whose step
         leaves the fewest entries, breaking ties so that a chain or ring of
@@ -490,7 +522,7 @@ class Network:
             if sorted(order) != list(range(len(self.edges))):
                 raise ValueError("order must be a permutation of edge indices")
             order = tuple(order)
-        steps, final, perm, out_dims, _, _ = _plan(*self._wiring(), order)
+        steps, final, perm, out_dims, _, _ = _plan(self._wiring_key(), order)
         # Named per call: one plan serves ids equal but printed apart (1, 1.0, True); ("a.b", "c") and ("a", "b.c") clash.
         out_legs = _unique(tuple((f"{node}.{leg}", dim) for (node, leg), dim in zip(self.free_legs, out_dims)))
         _over_cap("the contraction's output", out_dims)
@@ -537,7 +569,7 @@ class Network:
         """Remove an edge; its endpoints become free legs, first endpoint first."""
         i = self._find_edge(edge)
         new_edges = self.edges[:i] + self.edges[i + 1 :]
-        return Network._of_checked(dict(self.nodes), new_edges, self.free_legs + list(self.edges[i]))
+        return Network._of_checked(self.nodes.copy(), new_edges, self.free_legs + tuple(self.edges[i]))
 
     def _free(self, leg) -> EndPoint:
         leg = tuple(leg)
@@ -551,8 +583,8 @@ class Network:
         if a == b:
             raise NetworkError(f"cannot wire leg {_fmt_endpoint(a)} to itself")
         _check_line(a, self._dim_of(a), b, self._dim_of(b))
-        remaining = [p for p in self.free_legs if p not in (a, b)]
-        return Network._of_checked(dict(self.nodes), self.edges + [(a, b)], remaining)
+        remaining = tuple([p for p in self.free_legs if p not in (a, b)])
+        return Network._of_checked(self.nodes.copy(), self.edges + ((a, b),), remaining)
 
     def add_node(self, node_id: Hashable, tensor: Tensor) -> "Network":
         """Add a tensor as a new node; its legs are appended to the free legs."""
@@ -560,8 +592,8 @@ class Network:
             raise NetworkError(f"node id '{node_id}' already exists")
         if not isinstance(tensor, Tensor):
             raise NetworkError(f"node '{node_id}' is not a Tensor")
-        new_free = self.free_legs + [(node_id, leg_name) for leg_name, _ in tensor.legs]
-        return Network._of_checked({**self.nodes, node_id: tensor}, list(self.edges), new_free)
+        new_free = self.free_legs + tuple([(node_id, leg_name) for leg_name, _ in tensor.legs])
+        return Network._of_checked({**self.nodes, node_id: tensor}, self.edges, new_free)
 
     def _fresh_id(self, prefix: str) -> str:
         n = 0
@@ -579,8 +611,8 @@ class Network:
         node_id = self._fresh_id(prefix)
         return Network._of_checked(
             {**self.nodes, node_id: Tensor._of_checked((("out", have),), fresh)},
-            self.edges + [((node_id, "out"), free_leg)],
-            [p for p in self.free_legs if p != free_leg],
+            self.edges + (((node_id, "out"), free_leg),),
+            tuple([p for p in self.free_legs if p != free_leg]),
         )
 
     def insert_ket(self, free_leg, state) -> "Network":
@@ -644,7 +676,7 @@ def trace_network(m) -> Network:
     """The closed loop ``M.out -- M.in`` on one node ``M`` holding m: it contracts to tr(m)."""
     m = linalg.as_square(m)
     tensor = Tensor._of_checked((("out", len(m)), ("in", len(m))), m.copy())
-    return Network._of_checked({"M": tensor}, [(("M", "out"), ("M", "in"))], [])
+    return Network._of_checked({"M": tensor}, ((("M", "out"), ("M", "in")),), ())
 
 
 def amplitude_via_density(a, b, m) -> complex:

@@ -285,7 +285,7 @@ class TestTeleport:
         net = cup_cap_network(HADAMARD)
         assert set(net.nodes) == {"cap", "cup"}
         assert np.array_equal(net.nodes["cup"].data, np.eye(2))
-        assert net.free_legs == [("cap", "in0"), ("cup", "out1")]
+        assert net.free_legs == (("cap", "in0"), ("cup", "out1"))
 
     def test_cup_cap_checks_once_and_owns_its_arrays(self, monkeypatch):
         # One square check; both nodes and the wiring are built from checked parts.
@@ -302,7 +302,7 @@ class TestTeleport:
         assert not np.shares_memory(cap, m)
         m[0, 1] = 7
         assert cap[1, 0] == 2j
-        assert net.edges == [(("cap", "in1"), ("cup", "out0"))]
+        assert net.edges == ((("cap", "in1"), ("cup", "out0")),)
         assert [leg for leg, _ in net.nodes["cap"].legs] == ["in0", "in1"]
         assert [leg for leg, _ in net.nodes["cup"].legs] == ["out0", "out1"]
 

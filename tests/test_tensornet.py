@@ -1,16 +1,19 @@
 """Tensor networks: contraction against a brute-force oracle, graph surgery."""
 
+import copy
 import functools
 import itertools
 import math
 import tracemalloc
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpath import dsl, linalg, tensornet
+from qpath.measure import cup_cap_network
 from qpath.tensornet import (
     ENTRY_CAP,
     ContractionCapExceeded,
@@ -302,7 +305,7 @@ class TestIdsAsGiven:
         rng = np.random.default_rng(47)
         net = mixed_id_network(rng)
         cut = net.cut_edge((("s", "in"), (("t", 1), 2.5)))
-        assert cut.free_legs[-2:] == [(("t", 1), 2.5), ("s", "in")]
+        assert cut.free_legs[-2:] == ((("t", 1), 2.5), ("s", "in"))
         grown = cut.add_node(7, Tensor([(None, 2)], random_state(rng, 2))).wire((7, None), (0, 0))
         built = [cut, cut.wire((("t", 1), 2.5), ("s", "in")), grown,
                  grown.insert_ket((("t", 1), "in"), random_state(rng, 2)),
@@ -655,11 +658,11 @@ def with_fresh_data(net, rng):
 
 
 def plan_of(net, order=None):
-    """``tensornet._plan``'s plan for ``net``'s wiring and ``order``: the key ``Network.contract`` looks up.
+    """``tensornet._plan``'s plan for ``net``'s wiring and ``order``, read through the key ``Network.contract`` passes.
 
     Item 4 of the plan is its schedule, a permutation of edge indices, and item 5 its peak entry count.
     """
-    return tensornet._plan(*net._wiring(), None if order is None else tuple(order))
+    return tensornet._plan(net._wiring_key(), None if order is None else tuple(order))
 
 
 def two_node_chain(a, b, edge=(("a", "out"), ("b", "in")), free=(("b", "out"), ("a", "in"))):
@@ -933,7 +936,7 @@ class TestEntryCap:
         n, d = 2**8, 2**9
         nodes = tuple((f"n{k}", (("out", d), ("in", d))) for k in range(n))
         edges = tuple(((f"n{k}", "out"), (f"n{k + 1}", "in")) for k in range(n - 1))
-        steps, *_, peak = tensornet._plan(nodes, edges, ((f"n{n - 1}", "out"), ("n0", "in")), None)
+        steps, *_, peak = tensornet._plan(tensornet._Wiring(nodes, edges, ((f"n{n - 1}", "out"), ("n0", "in"))), None)
         assert peak == d * d
         assert [step[4] for step in steps] == [0] * (128 + 64 + 32) + [-1] * 4 + [0]
         level = steps[128 + 64 + 32]
@@ -1063,7 +1066,7 @@ class TestCutEdge:
         rng = np.random.default_rng(12)
         m = random_matrix(rng, 3)
         cut = trace_network(m).cut_edge((("M", "out"), ("M", "in")))
-        assert cut.free_legs == [("M", "out"), ("M", "in")]
+        assert cut.free_legs == (("M", "out"), ("M", "in"))
         assert linalg.max_abs_diff(cut.contract().data, m) <= 1e-12
 
     def test_cut_then_rewire_is_identity(self):
@@ -1076,12 +1079,12 @@ class TestCutEdge:
     def test_cut_is_value_semantics(self):
         net = trace_network(np.eye(2))
         net.cut_edge((("M", "out"), ("M", "in")))
-        assert len(net.edges) == 1 and net.free_legs == []
+        assert len(net.edges) == 1 and net.free_legs == ()
 
     def test_cut_reversed_endpoint_order_uses_stored_edge(self):
         net = trace_network(np.eye(2))
         cut = net.cut_edge((("M", "in"), ("M", "out")))
-        assert cut.free_legs == [("M", "out"), ("M", "in")]
+        assert cut.free_legs == (("M", "out"), ("M", "in"))
 
     def test_repr_before_and_after_cut(self):
         net = trace_network(np.eye(2))
@@ -1200,23 +1203,112 @@ def built_networks(rng):
     return pairs
 
 
+def assert_frozen(net):
+    """``net``'s wiring cannot change: a read-only node mapping, edge and free-leg tuples, no attribute to set."""
+    assert type(net.nodes) is MappingProxyType
+    assert type(net.edges) is tuple and type(net.free_legs) is tuple
+    with pytest.raises(TypeError, match="does not support item assignment"):
+        net.nodes["mutant"] = Tensor.from_state([1])
+    with pytest.raises(TypeError, match="does not support item deletion"):
+        del net.nodes[next(iter(net.nodes))]
+    with pytest.raises(AttributeError, match="has no attribute 'append'"):
+        net.edges.append((("mutant", "out"), ("mutant", "out")))
+    with pytest.raises(AttributeError, match="has no attribute 'append'"):
+        net.free_legs.append(("mutant", "out"))
+    for name in ("nodes", "edges", "free_legs", "_key"):
+        with pytest.raises(AttributeError, match="^Network is immutable$"):
+            setattr(net, name, getattr(net, name))
+    assert copy.copy(net) is net
+
+
 class TestBuiltNetworksAreValues:
     @pytest.mark.parametrize("seed", range(40))
     def test_valid_independent_and_contracting_like_the_oracle(self, seed):
         for receiver, net in built_networks(np.random.default_rng(seed)):
             net._validate()
-            if receiver is not None:
-                before = (dict(receiver.nodes), list(receiver.edges), list(receiver.free_legs))
-                net.nodes["mutant"] = Tensor.from_state([1])
-                net.edges.append((("mutant", "out"), ("mutant", "out")))
-                net.free_legs.append(("mutant", "out"))
-                assert (receiver.nodes, receiver.edges, receiver.free_legs) == before
-                del net.nodes["mutant"]
-                net.edges.pop()
-                net.free_legs.pop()
+            for each in (receiver, net):
+                if each is not None:
+                    assert_frozen(each)
             fast, slow = net.contract(), brute_force_contract(net)
             assert fast.legs == slow.legs
             assert linalg.max_abs_diff(fast.data, slow.data) <= 1e-10
+
+
+class CountedId(str):
+    """A node id that counts the times it is hashed."""
+
+    hashes = 0
+
+    def __hash__(self):
+        CountedId.hashes += 1
+        return str.__hash__(self)
+
+
+class TestWiringKey:
+    """A frozen wiring's ``_Wiring`` key is built and hashed once; ``contract`` reuses it."""
+
+    def test_one_key_one_hash_and_one_check_for_three_contractions(self, monkeypatch):
+        built = []
+
+        class Spy(tensornet._Wiring):
+            __slots__ = ()
+
+            def __new__(cls, *parts):
+                built.append(parts)
+                return super().__new__(cls, *parts)
+
+        monkeypatch.setattr(tensornet, "_Wiring", Spy)
+        rng = np.random.default_rng(61)
+        a, b = Tensor.from_matrix(random_matrix(rng, 3)), Tensor.from_matrix(random_matrix(rng, 3))
+        ids = CountedId("a"), CountedId("b")
+        nodes = dict(zip(ids, (a, b)))  # copied by Network with its hashes, not hashing the ids again
+
+        def build():
+            return Network(nodes, [((ids[0], "out"), (ids[1], "in"))], [(ids[1], "out"), (ids[0], "in")])
+
+        first = build()
+        want = first.contract().data.tobytes()  # checks and plans the wiring
+        built.clear()
+        CountedId.hashes = 0
+        checks = tensornet._check.cache_info()
+        net = build()
+        # One hash of the key: each id once per place it takes in the wiring, two nodes, one edge, two free legs.
+        assert (len(built), CountedId.hashes) == (1, 6)
+        assert tensornet._check.cache_info()[:2] == (checks.hits + 1, checks.misses)
+        for _ in range(3):
+            plans = tensornet._plan.cache_info()
+            assert net.contract().data.tobytes() == want
+            assert tensornet._plan.cache_info()[:2] == (plans.hits + 1, plans.misses)
+        assert (len(built), CountedId.hashes) == (1, 6)
+        assert tensornet._check.cache_info()[:2] == (checks.hits + 1, checks.misses)
+        # The check's hit hands back the first key of the wiring, so the plan's lookup finds it by identity.
+        assert net._wiring_key() is net._key is first._key and type(net._key) is Spy
+
+    def test_a_network_built_from_parts_is_keyed_on_its_first_contraction(self, monkeypatch):
+        rng = np.random.default_rng(67)
+        m = random_matrix(rng, 2)
+        document = dsl.parse("dim 2\ngate G = [[1, 2], [3, 4]]\nnode g : G\nfree g.out\nfree g.in\n").document
+        built = [document.network(), trace_network(m), trace_network(m).cut_edge((("M", "out"), ("M", "in"))),
+                 cup_cap_network(m)]
+        built.append(built[2].insert_ket(("M", "in"), [1, 0]).insert_bra(("M", "out"), [0, 1]))
+        monkeypatch.setattr(tensornet, "_check", None)  # none of these is checked again
+        for k, net in enumerate(built):
+            assert_frozen(net)
+            assert (net._key is None) == (k > 0)  # only the document's network went through Network(...)
+            first = net.contract().data.tobytes()
+            key = net._key
+            assert type(key) is tensornet._Wiring and key[1:] == (
+                tuple((node_id, t.legs) for node_id, t in net.nodes.items()), net.edges, net.free_legs)
+            assert net.contract().data.tobytes() == first and net._key is key
+        assert built[1]._key == trace_network(m)._wiring_key()
+
+    def test_a_document_network_shares_one_legs_tuple_per_node_kind(self):
+        doc = dsl.parse("dim 2\ngate G = [[1, 0], [0, 1]]\ngate H = [[0, 1], [1, 0]]\nstate s = [1, 0]\n"
+                        "node g : G\nnode h : H\nnode k : s\nnode j : s\n"
+                        "edge k.out -> g.in\nedge g.out -> h.in\nedge j.out -> h.out\n").document
+        nodes = doc.network().nodes
+        assert nodes["g"].legs is nodes["h"].legs and nodes["k"].legs is nodes["j"].legs
+        assert (nodes["g"].legs, nodes["k"].legs) == ((("out", 2), ("in", 2)), (("out", 2),))
 
 
 class TestInsert:
@@ -1226,7 +1318,7 @@ class TestInsert:
             m, b = random_matrix(rng, 3), random_state(rng, 3)
             cut = trace_network(m).cut_edge((("M", "out"), ("M", "in")))
             psi = cut.insert_ket(("M", "in"), b)
-            assert psi.free_legs == [("M", "out")]
+            assert psi.free_legs == (("M", "out"),)
             assert linalg.max_abs_diff(psi.contract().data, m @ b) <= 1e-12
 
     def test_insert_basis_ket_extracts_column(self):
@@ -1241,7 +1333,7 @@ class TestInsert:
         e0 = linalg.basis_ket(2, 0)
         cut = trace_network(np.eye(2)).cut_edge((("M", "out"), ("M", "in")))
         closed = cut.insert_ket(("M", "in"), e0).insert_bra(("M", "out"), e0)
-        assert closed.free_legs == []
+        assert closed.free_legs == ()
         assert abs(closed.contract().item() - 1) <= 1e-12
 
     def test_full_surgery_matches_direct_amplitude(self):
