@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 parse error, 2 semantic error (unknown names,
 out-of-range indices, invalid inputs, a value that overflows double
-precision), 3 verification failure, 4 resource cap exceeded (paths, contraction
-entries, memory).
+precision), 3 verification failure (``pathsum.agreement`` is not ok), 4
+resource cap exceeded (paths, contraction entries, memory).
 All numeric output uses 12-significant-digit scientific notation so command
 output is byte-identical across runs for the same document, command, and seed.
 """
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import math
 import sys
 from itertools import islice, product
 from pathlib import Path
@@ -28,8 +27,8 @@ EXIT_SEMANTIC = 2
 EXIT_VERIFY = 3
 EXIT_CAP = 4
 
-#: ``linalg.AGREE_TOL`` as imported. ``verify`` reads ``AGREE_TOL`` when
-#: called; this copy is kept only because ``bench/workloads.py`` reads it.
+#: ``linalg.AGREE_TOL`` as imported, kept only because ``bench/workloads.py``
+#: reads it. ``verify`` reads ``AGREE_TOL`` when called, through ``pathsum.agreement``.
 VERIFY_TOL = linalg.AGREE_TOL
 
 
@@ -103,23 +102,9 @@ def _cmd_sample(doc: dsl.Document, options: dict) -> tuple[str, int]:
 
 
 def _cmd_verify(doc: dsl.Document, options: dict) -> tuple[str, int]:
-    pd = _circuit_diagram(doc, options["circuit"], pathsum.FREE)
-    u = pathsum.composition_matrix(pd)
-    worst = 0.0
-    # One pass sums every amplitude, input by input; the first overflow in that order is named.
-    sums = pathsum._column_sums(pd)
-    for (i, j), amplitude in zip(product(range(doc.dim), repeat=2), sums):
-        deviation = abs(amplitude - u[j, i])
-        if not math.isfinite(deviation):
-            raise ValueError(_overflow(
-                f"amplitude (output {j}, input {i})",
-                ("path sum", amplitude),
-                ("matrix product", u[j, i]),
-            ))
-        worst = max(worst, deviation)
-    ok = worst <= linalg.AGREE_TOL
-    text = f"{'PASS' if ok else 'FAIL'} max_deviation {sci12(worst)}\n"
-    return text, EXIT_OK if ok else EXIT_VERIFY
+    result = pathsum.agreement(_circuit_diagram(doc, options["circuit"], pathsum.FREE))
+    text = f"{'PASS' if result.ok else 'FAIL'} max_deviation {sci12(result.deviation)}\n"
+    return text, EXIT_OK if result.ok else EXIT_VERIFY
 
 
 def _cmd_contract(doc: dsl.Document, options: dict) -> tuple[str, int]:

@@ -32,6 +32,7 @@ The public listings, sums and products (``enumerate_paths``,
 ``path_sum_amplitude``, ``composition_matrix``, ``interference_report``)
 each compute under ``np.errstate(over="ignore", invalid="ignore")``: an
 overflow gives inf or nan values, which they return, and no numpy warning.
+``agreement`` computes under it too, and raises ValueError at an overflow.
 
 A diagram checks its layers once, as one read-only ``(L, d, d)`` stack, and
 its ``layers`` are views of that stack's rows. From the same stack it keeps,
@@ -43,8 +44,8 @@ loop, ``_running_sums``, streams the blocks one at a time, checks the path
 cap and adds both parts' weights in path order, in one running sum or one
 per output. The ``qpath paths`` listing formats each block with its running
 sums, ``enumerate_paths`` makes one ``Path`` per path, and ``_column_sums``
-keeps each column's last sum: ``qpath verify`` calls it once, with the input
-and the output FREE, for every amplitude of the matrix, and
+keeps each column's last sum: ``agreement`` calls it once for every amplitude
+the diagram's ends allow (all of the matrix, for ``qpath verify``), and
 ``path_sum_amplitude``, its one-column case pinned at both ends, gives
 ``interference_report`` its total. No sum uses builtin ``sum``, whose float
 addition differs between interpreters.
@@ -60,7 +61,7 @@ from itertools import product
 import numpy as np
 
 from . import linalg
-from .formatting import complex6
+from .formatting import _overflow, complex6
 
 __all__ = [
     "FREE",
@@ -71,6 +72,8 @@ __all__ = [
     "enumerate_paths",
     "path_sum_amplitude",
     "composition_matrix",
+    "Agreement",
+    "agreement",
     "InterferenceReport",
     "interference_report",
     "LabDiagram",
@@ -133,6 +136,9 @@ class PathDiagram:
     @property
     def n_layers(self) -> int:
         return len(self.layers)
+
+    def __deepcopy__(self, memo):
+        return self  # its arrays are read-only and shared; ``copy.copy`` makes a new diagram, as ``_pinned`` needs
 
 
 @dataclass(frozen=True)
@@ -361,15 +367,16 @@ def _column_sums(pd: PathDiagram) -> list[complex]:
 
     A FREE end takes every value and a pinned one its own, so with both
     ends FREE the pass gives all d*d amplitudes ``<j|U|i>``, at position
-    ``i*d + j``. ``_running_sums`` runs with one column per (input, output)
-    and this keeps each column's last running sum, so each amplitude's paths
-    add in path order, left to right. A column therefore equals the sum
-    pinned at both of its ends bit for bit, ``path_sum_amplitude``'s among
-    them. The pass skips the paths through the zero entries of the layers
-    that do not branch; if any sum it gives is not finite, a second pass
-    sums over every path, so each sum equals the sum over every path bit
-    for bit (see the module docstring). The cap holds per amplitude, on all
-    the paths from one input into one output.
+    ``i*d + j``, the order in which ``agreement`` compares them.
+    ``_running_sums`` runs with one column per (input, output) and this
+    keeps each column's last running sum, so each amplitude's paths add in
+    path order, left to right. A column therefore equals the sum pinned at
+    both of its ends bit for bit, ``path_sum_amplitude``'s among them. The
+    pass skips the paths through the zero entries of the layers that do not
+    branch; if any sum it gives is not finite, a second pass sums over every
+    path, so each sum equals the sum over every path bit for bit (see the
+    module docstring). The cap holds per amplitude, on all the paths from
+    one input into one output.
     """
     w = len(_input_range(pd)) * len(_ranges(pd)[-1])
     for unbranched in (pd._unbranched, None):
@@ -388,6 +395,37 @@ def composition_matrix(pd: PathDiagram) -> np.ndarray:
         for layer in pd.layers[1:]:
             u = layer @ u
     return u
+
+
+@dataclass(frozen=True)
+class Agreement:
+    """The worst |path sum - matrix product|, the first amplitude at it (input by input), and a verdict."""
+
+    deviation: float
+    input: int
+    output: int
+    ok: bool  # deviation <= linalg.AGREE_TOL
+
+
+def agreement(pd: PathDiagram) -> Agreement:
+    """Hold the path sums against ``composition_matrix`` on every amplitude ``pd``'s ends allow.
+
+    It compares them input by input, in ``_column_sums``'s order, by scalar
+    ``abs``, reading the tolerance when called. The first deviation that is
+    not finite raises ValueError, naming its amplitude and both routes' values.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = composition_matrix(pd)
+        worst, at = -1.0, None
+        for (i, j), amplitude in zip(product(_input_range(pd), _ranges(pd)[-1]), _column_sums(pd)):
+            deviation = abs(amplitude - u[j, i])
+            if not math.isfinite(deviation):
+                raise ValueError(_overflow(
+                    f"amplitude (output {j}, input {i})", ("path sum", amplitude), ("matrix product", u[j, i])
+                ))
+            if deviation > worst:
+                worst, at = float(deviation), (i, j)
+    return Agreement(worst, *at, worst <= linalg.AGREE_TOL)
 
 
 @dataclass(frozen=True)

@@ -95,6 +95,11 @@ class Tensor:
     def __setattr__(self, name, value):
         raise AttributeError("Tensor is immutable")
 
+    def __deepcopy__(self, memo=None):
+        return self  # a value, as a tuple is: ``copy`` would restore the slots through ``__setattr__``
+
+    __copy__ = __deepcopy__
+
     @classmethod
     def _of_checked(cls, legs, arr: np.ndarray) -> "Tensor":
         """A Tensor over ``arr`` itself: finite, complex, C-contiguous, of the legs' shape, owned by the caller.
@@ -469,8 +474,10 @@ class Network:
     def __setattr__(self, name, value):
         raise AttributeError("Network is immutable")
 
-    def __copy__(self):
+    def __deepcopy__(self, memo=None):
         return self  # a value, as a tuple is: ``copy`` would restore the slots through ``__setattr__``
+
+    __copy__ = __deepcopy__
 
     def _dim_of(self, p: EndPoint) -> int:
         node, leg = p

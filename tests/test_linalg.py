@@ -45,8 +45,10 @@ def _verify_mz_exit_code():
     ("AGREE_TOL", -1,
      lambda: measure.teleport_check(np.eye(2), linalg.basis_ket(2, 0)).agree, False),
     ("AGREE_TOL", -1, _verify_mz_exit_code, cli.EXIT_VERIFY),
+    ("AGREE_TOL", -1,
+     lambda: pathsum.agreement(pathsum.PathDiagram(2, (HADAMARD, MIRROR, HADAMARD), pathsum.FREE)).ok, False),
     ("NORM_TOL", 10, lambda: linalg.is_normalized([2, 0]), True),
-], ids=["interference_report", "teleport_check", "verify", "is_normalized"])
+], ids=["interference_report", "teleport_check", "verify", "agreement", "is_normalized"])
 def test_tolerances_are_read_when_called(monkeypatch, name, value, result, expected):
     monkeypatch.setattr(linalg, name, value)
     assert result() == expected

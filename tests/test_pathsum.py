@@ -1,6 +1,7 @@
 """Path enumeration and summation against the matrix-product route."""
 
 import tracemalloc
+from dataclasses import fields
 from fractions import Fraction
 from itertools import product
 from unittest import mock
@@ -10,12 +11,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpath import cli, dsl, linalg, pathsum
+from qpath.formatting import sci12
 from qpath.measure import HADAMARD, MIRROR
 from qpath.pathsum import (
     FREE,
+    Agreement,
     Path,
     PathCapExceeded,
     PathDiagram,
+    agreement,
     composition_matrix,
     emit_lab_diagram,
     enumerate_paths,
@@ -23,6 +27,7 @@ from qpath.pathsum import (
     path_sum_amplitude,
     to_dot,
 )
+from test_cli import BAD_INPUTS, MZ
 
 
 def mach_zehnder(input_index=0, output=FREE):
@@ -631,6 +636,66 @@ class TestOverflow:
         pd = PathDiagram(2, (np.array([[1, 0], [1, 0]]), np.array([[1e308, 1e308], [0, 0]])), 0)
         report = interference_report(pd, 0)
         assert (report.total, report.weight_sum, report.verdict) == (complex(np.inf, 0), np.inf, "mixed")
+
+
+def circuit_diagram(source, circuit):
+    doc = dsl.parse(source).document
+    return PathDiagram(doc.dim, tuple(doc.circuit_layers(circuit)), FREE)
+
+
+#: (name, document, circuit, message): ``verify``'s overflows as the CLI names them, and an inf - inf.
+AGREEMENT_OVERFLOWS = [
+    (name, source, options["circuit"], message)
+    for name, source, command, options, _, message in BAD_INPUTS
+    if command == "verify"
+] + [(
+    "inf - inf", "dim 2\ngate G = [[1e300, 0], [0, 1]]\ncircuit c = G G\n", "c",
+    "amplitude (output 0, input 0) overflows double precision: "
+    "path sum inf 0.00000000000e+00, matrix product inf nan",
+)]
+
+
+class TestAgreement:
+    def test_mach_zehnder_as_the_golden_pins_it(self):
+        result = agreement(circuit_diagram(MZ.read_text(), "mz"))
+        assert [f.name for f in fields(Agreement)] == ["deviation", "input", "output", "ok"]
+        assert sci12(result.deviation) == "4.26642158859e-17"
+        assert (result.input, result.output, result.ok) == (0, 1, True)
+
+    # The matrix route is off by a relative 1e-6 at (output 2, input 1); the ends that
+    # include it fail there, and the others compare only their own amplitudes.
+    @pytest.mark.parametrize("ends, ok", [
+        ((FREE, FREE), False), ((1, FREE), False), ((FREE, 2), False), ((1, 2), False),
+        ((0, FREE), True), ((2, FREE), True), ((FREE, 1), True), ((0, 2), True),
+    ])
+    def test_names_the_worst_amplitude_of_its_ends(self, monkeypatch, ends, ok):
+        layers = random_layers(np.random.default_rng(7), 3, 4)
+        u = composition_matrix(PathDiagram(3, layers, FREE)).copy()
+        u[2, 1] *= 1 + 1e-6
+        monkeypatch.setattr(pathsum, "composition_matrix", lambda pd: u)
+        pd = PathDiagram(3, layers, *ends)
+        result = agreement(pd)
+        pairs = list(product(pathsum._input_range(pd), pathsum._ranges(pd)[-1]))
+        deviations = [abs(path_sum_amplitude(PathDiagram(3, layers, i), j) - u[j, i]) for i, j in pairs]
+        worst = max(deviations)
+        assert result.deviation == worst
+        assert (result.input, result.output) == pairs[deviations.index(worst)]
+        assert result.ok is ok
+        if not ok:
+            assert (result.input, result.output) == (1, 2)
+            assert result.deviation == pytest.approx(1e-6 * abs(u[2, 1]), rel=1e-3)
+
+    # No errstate here: the suite turns a numpy warning into an error.
+    @pytest.mark.parametrize(
+        "source, circuit, message",
+        [case[1:] for case in AGREEMENT_OVERFLOWS],
+        ids=[case[0] for case in AGREEMENT_OVERFLOWS],
+    )
+    def test_overflow_raises_the_named_error(self, source, circuit, message):
+        pd = circuit_diagram(source, circuit)
+        with pytest.raises(ValueError) as exc:
+            agreement(pd)
+        assert str(exc.value) == message
 
 
 class TestLabDiagram:

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from qpath import dsl, linalg, tensornet
 from qpath.measure import cup_cap_network
+from qpath.pathsum import FREE, PathDiagram
 from qpath.tensornet import (
     ENTRY_CAP,
     ContractionCapExceeded,
@@ -1232,6 +1233,52 @@ class TestBuiltNetworksAreValues:
             fast, slow = net.contract(), brute_force_contract(net)
             assert fast.legs == slow.legs
             assert linalg.max_abs_diff(fast.data, slow.data) <= 1e-10
+
+
+def two_gates():
+    """``a`` then ``b``, both X, with the chain's two ends free: a network every surgery can act on."""
+    x = Tensor.from_matrix([[0, 1], [1, 0]])
+    return Network({"a": x, "b": x}, [(("a", "out"), ("b", "in"))], [("a", "in"), ("b", "out")])
+
+
+#: One builder of each kind of value that holds arrays.
+BUILT = {
+    "Tensor": lambda: Tensor([("i", 2)], [1, 0]),
+    "from_matrix": lambda: Tensor.from_matrix(np.eye(2)),
+    "from_state": lambda: Tensor.from_state([0, 1]),
+    "contract": lambda: two_gates().contract(),
+    "Network": two_gates,
+    "cut_edge": lambda: two_gates().cut_edge((("a", "out"), ("b", "in"))),
+    "wire": lambda: two_gates().wire(("b", "out"), ("a", "in")),
+    "add_node": lambda: two_gates().add_node("s", Tensor.from_state([1, 0])),
+    "insert_ket": lambda: two_gates().insert_ket(("a", "in"), [1, 0]),
+    "insert_bra": lambda: two_gates().insert_bra(("b", "out"), [1, 0]),
+    "trace_network": lambda: trace_network(np.eye(2)),
+    "cup_cap_network": lambda: cup_cap_network(np.eye(2)),
+    "Document.network": lambda: dsl.parse("dim 1\ngate G = [[1]]\nnode m : G\nedge m.out -> m.in\n").document.network(),
+    "PathDiagram FREE": lambda: PathDiagram(2, (np.eye(2),) * 2, FREE),
+    "PathDiagram pinned": lambda: PathDiagram(2, (np.eye(2),) * 2, 0, 1),
+}
+
+
+def held_arrays(value):
+    """A tensor's data, a network's node data or a diagram's layers."""
+    if isinstance(value, Tensor):
+        return [value.data]
+    if isinstance(value, Network):
+        return [tensor.data for tensor in value.nodes.values()]
+    return list(value.layers)
+
+
+@pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy])
+@pytest.mark.parametrize("build", BUILT.values(), ids=BUILT.keys())
+def test_copies_share_the_read_only_arrays(build, copier):
+    value = build()
+    duplicate = copier(value)
+    # Values copy to themselves; ``copy.copy`` of a diagram is a new diagram over the same layers.
+    assert (duplicate is value) is not (copier is copy.copy and isinstance(value, PathDiagram))
+    for array, copied in zip(held_arrays(value), held_arrays(duplicate), strict=True):
+        assert copied is array and not copied.flags.writeable
 
 
 class CountedId(str):
