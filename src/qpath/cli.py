@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import operator
 import sys
 from itertools import islice, product
 from pathlib import Path
@@ -71,7 +72,7 @@ def _cmd_eval(doc: dsl.Document, options: dict) -> tuple[str, int]:
 def _cmd_paths(doc: dsl.Document, options: dict) -> tuple[str, int]:
     pd = _circuit_diagram(doc, options["circuit"], options["input"], options.get("output"))
     keys = map(",".join, product(*[map(str, ks) for ks in pathsum._ranges(pd)]))
-    line = "{} {:.11e} {:.11e} {:.11e} {:.11e}\n".format
+    numbers = " {:.11e} {:.11e} {:.11e} {:.11e}\n".format
     blocks = []
     for weights, sums in pathsum._running_sums(pd, 1):
         # The first path whose running sum is not finite names the overflow.
@@ -83,9 +84,16 @@ def _cmd_paths(doc: dsl.Document, options: dict) -> tuple[str, int]:
                 ("weight", complex(*weights[:, n])),
                 ("running sum", complex(*sums[:, n])),
             ))
-        # Adding 0.0 folds -0.0, as sci12 does.
-        columns = (np.concatenate((weights, sums)) + 0.0).tolist()
-        blocks.append("".join(map(line, islice(keys, weights.shape[1]), *columns)))
+        # Adding 0.0 folds -0.0, as sci12 does. The values are finite, so a line whose four
+        # numbers equal the line before's prints that line's text: only the other lines (and
+        # each block's first) are formatted. Most lines repeat: a zero weight leaves the
+        # running sum where it was, and permutation, shift, diagonal and phase layers make
+        # most weights zero.
+        values = np.concatenate((weights, sums)) + 0.0
+        new = np.concatenate(([True], (values[:, 1:] != values[:, :-1]).any(axis=0)))
+        texts = np.array(list(map(numbers, *values[:, new].tolist())), dtype=object)
+        lines = texts[np.cumsum(new) - 1].tolist()
+        blocks.append("".join(map(operator.add, islice(keys, len(lines)), lines)))
     return "".join(blocks), EXIT_OK
 
 

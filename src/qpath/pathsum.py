@@ -43,7 +43,10 @@ equal bit for bit to a scalar product loop (see ``_weight_blocks``). One
 loop, ``_running_sums``, streams the blocks one at a time, checks the path
 cap and adds both parts' weights in path order, in one running sum or one
 per output. The ``qpath paths`` listing formats each block with its running
-sums, ``enumerate_paths`` makes one ``Path`` per path, and ``_column_sums``
+sums. A line whose four numbers equal the line before's reuses that line's
+text. Such lines are common: a zero weight leaves the running sum where it
+was, and permutation, shift, diagonal and phase layers make most weights
+zero. ``enumerate_paths`` makes one ``Path`` per path, and ``_column_sums``
 keeps each column's last sum: ``agreement`` calls it once for every amplitude
 the diagram's ends allow (all of the matrix, for ``qpath verify``), and
 ``path_sum_amplitude``, its one-column case pinned at both ends, gives

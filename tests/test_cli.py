@@ -273,6 +273,25 @@ def _layer(draw, d):
     return layer * draw(st.sampled_from([1.0, 1.0, 1.0, 1e160, 1e160j]))
 
 
+_PHASE = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1j, -1j, 0.6 + 0.8j, -0.7071067811865476])
+
+
+@st.composite
+def _zero_rich_layer(draw, d):
+    """A layer that makes many paths weigh zero or repeat a weight, or any `_layer`."""
+    kind = draw(st.sampled_from(["diagonal", "zero column", "zero", "all equal", "any"]))
+    if kind == "diagonal":
+        return np.diag(draw(st.lists(_PHASE, min_size=d, max_size=d))) + 0j
+    if kind == "zero":
+        return np.zeros((d, d), dtype=complex)
+    if kind == "all equal":
+        return np.full((d, d), draw(_PHASE), dtype=complex)
+    layer = draw(_layer(d))
+    if kind == "zero column":
+        layer[:, draw(st.integers(0, d - 1))] = 0
+    return layer
+
+
 class TestPathsListing:
     """`paths` formats weight blocks; its text equals the `Path`-based listing byte for byte."""
 
@@ -287,6 +306,54 @@ class TestPathsListing:
         block = data.draw(st.sampled_from([1, 4, 2**14]), label="block")
         with mock.patch.object(pathsum, "_BLOCK", block):
             assert_listing_matches_oracle(circuit_doc(layers), i, output)
+
+    @settings(max_examples=80)
+    @given(data=st.data())
+    def test_repeated_lines_match_path_listing_property(self, data):
+        """Most lines repeat the line before; runs of them cross block boundaries."""
+        d = data.draw(st.integers(1, 4), label="d")
+        L = data.draw(st.integers(1, 6), label="L")
+        layers = [data.draw(_zero_rich_layer(d), label=f"layer {t}") for t in range(L)]
+        i = data.draw(st.integers(0, d - 1), label="input")
+        output = data.draw(st.one_of(st.none(), st.integers(0, d - 1)), label="output")
+        block = data.draw(st.sampled_from([1, 2, 7, 2**14]), label="block")
+        with mock.patch.object(pathsum, "_BLOCK", block):
+            assert_listing_matches_oracle(circuit_doc(layers), i, output)
+
+    def test_equal_weights_with_changing_sums(self):
+        # Every weight is 1 and every running sum differs, so no line repeats the one before.
+        doc = circuit_doc([np.ones((2, 2))] * 3)
+        lines = listing(doc, 0, None).splitlines()
+        assert len({line.split(" ", 1)[1] for line in lines}) == 8
+        assert lines[-1] == "1,1,1 1.00000000000e+00 0.00000000000e+00 8.00000000000e+00 0.00000000000e+00"
+        assert_listing_matches_oracle(doc, 0, None)
+
+    @pytest.mark.parametrize("output", [None, 2])
+    def test_zero_layer_before_a_dense_one(self, monkeypatch, output):
+        # Every line repeats the first, across blocks of 3 paths.
+        monkeypatch.setattr(pathsum, "_BLOCK", 3)
+        rng = np.random.default_rng(3)
+        dense = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(2)]
+        doc = circuit_doc([np.zeros((3, 3)), *dense])
+        lines = listing(doc, 1, output).splitlines()
+        assert len(lines) == (27 if output is None else 9)
+        assert {line.split(" ", 1)[1] for line in lines} == {" ".join(["0.00000000000e+00"] * 4)}
+        assert_listing_matches_oracle(doc, 1, output)
+
+    def test_negative_zero_weights_print_as_zero(self):
+        # A -1 permutation gives -0.0 weight parts, which equal 0.0 and print as it.
+        doc = circuit_doc([[[0, -1], [-1, 0]]] * 3)
+        pd = pathsum.PathDiagram(2, tuple(doc.circuit_layers("c")), 0, pathsum.FREE)
+        weights = np.array([p.weight for p in pathsum.enumerate_paths(pd)])
+        assert np.signbit(weights.real).any() and np.signbit(weights.imag).any()
+        text = listing(doc, 0, None)
+        assert "-0.0" not in text
+        assert text.splitlines()[-3:] == [
+            "1,0,1 -1.00000000000e+00 0.00000000000e+00 -1.00000000000e+00 0.00000000000e+00",
+            "1,1,0 0.00000000000e+00 0.00000000000e+00 -1.00000000000e+00 0.00000000000e+00",
+            "1,1,1 0.00000000000e+00 0.00000000000e+00 -1.00000000000e+00 0.00000000000e+00",
+        ]
+        assert_listing_matches_oracle(doc, 0, None)
 
     @pytest.mark.parametrize("output", [None, 10])
     def test_two_digit_indices(self, output):
@@ -311,7 +378,11 @@ class TestPathsListing:
           np.ones((2, 2)), np.ones((2, 2)), [[1, 1], [1e120j, 1e120j]]],
          "path 1,0,1,0,0,1 overflows double precision: "
          "weight 0.00000000000e+00 -inf, running sum -1.30000000000e+241 -inf"),
-    ], ids=["weight", "running sum", "imaginary part"])
+        # A permutation first: paths 0,... weigh zero; the first overflow is path 12 of 16, last in block 3.
+        ([[[0, 1], [1, 0]], np.ones((2, 2)), [[1, 1], [1e200, 1e200]], [[1, 1], [1e200, 1e200]]],
+         "path 1,0,1,1 overflows double precision: "
+         "weight inf 0.00000000000e+00, running sum inf 0.00000000000e+00"),
+    ], ids=["weight", "running sum", "imaginary part", "after a permutation"])
     def test_overflow_in_a_later_block_is_named(self, monkeypatch, layers, message):
         monkeypatch.setattr(pathsum, "_BLOCK", 4)
         doc = circuit_doc(layers)
