@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import operator
 import sys
-from itertools import islice, product
+from itertools import chain, cycle, islice, product, repeat
 from pathlib import Path
 
 import numpy as np
@@ -71,16 +70,24 @@ def _cmd_eval(doc: dsl.Document, options: dict) -> tuple[str, int]:
 
 def _cmd_paths(doc: dsl.Document, options: dict) -> tuple[str, int]:
     pd = _circuit_diagram(doc, options["circuit"], options["input"], options.get("output"))
-    keys = map(",".join, product(*[map(str, ks) for ks in pathsum._ranges(pd)]))
+    running = pathsum._running_sums(pd, 1)
+    first = next(running)  # checks the path cap before any key is built
+    # A path's key is a head, its first L//2 indices each followed by a comma, then a tail, the
+    # others joined by commas. Paths run through the heads in order, each once per tail.
+    ranges = pathsum._ranges(pd)
+    h = len(ranges) // 2
+    heads = ["".join(map("{},".format, ks)) for ks in product(*ranges[:h])]
+    tails = [",".join(map(str, ks)) for ks in product(*ranges[h:])]
+    heads, tails = chain.from_iterable(map(repeat, heads, repeat(len(tails)))), cycle(tails)
     numbers = " {:.11e} {:.11e} {:.11e} {:.11e}\n".format
     blocks = []
-    for weights, sums in pathsum._running_sums(pd, 1):
+    for weights, sums in chain([first], running):
         # The first path whose running sum is not finite names the overflow.
         overflow = ~np.isfinite(sums).all(axis=0)
         if overflow.any():
             n = int(overflow.argmax())
             raise ValueError(_overflow(
-                f"path {next(islice(keys, n, None))}",
+                f"path {next(islice(heads, n, None))}{next(islice(tails, n, None))}",
                 ("weight", complex(*weights[:, n])),
                 ("running sum", complex(*sums[:, n])),
             ))
@@ -93,7 +100,8 @@ def _cmd_paths(doc: dsl.Document, options: dict) -> tuple[str, int]:
         new = np.concatenate(([True], (values[:, 1:] != values[:, :-1]).any(axis=0)))
         texts = np.array(list(map(numbers, *values[:, new].tolist())), dtype=object)
         lines = texts[np.cumsum(new) - 1].tolist()
-        blocks.append("".join(map(operator.add, islice(keys, len(lines)), lines)))
+        n = len(lines)
+        blocks.append("".join(chain.from_iterable(zip(islice(heads, n), islice(tails, n), lines))))
     return "".join(blocks), EXIT_OK
 
 

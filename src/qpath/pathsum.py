@@ -46,12 +46,15 @@ per output. The ``qpath paths`` listing formats each block with its running
 sums. A line whose four numbers equal the line before's reuses that line's
 text. Such lines are common: a zero weight leaves the running sum where it
 was, and permutation, shift, diagonal and phase layers make most weights
-zero. ``enumerate_paths`` makes one ``Path`` per path, and ``_column_sums``
-keeps each column's last sum: ``agreement`` calls it once for every amplitude
-the diagram's ends allow (all of the matrix, for ``qpath verify``), and
-``path_sum_amplitude``, its one-column case pinned at both ends, gives
-``interference_report`` its total. No sum uses builtin ``sum``, whose float
-addition differs between interpreters.
+zero. ``_weights`` turns each block into Python complexes with one complex
+array, a view of both parts side by side, and one ``tolist``;
+``enumerate_paths`` and ``interference_report`` pair them with the index
+tuples in one ``map`` to ``Path``. ``_column_sums`` keeps each column's last
+sum: ``agreement`` calls it once for every amplitude the diagram's ends
+allow (all of the matrix, for ``qpath verify``), and ``path_sum_amplitude``,
+its one-column case pinned at both ends, gives ``interference_report`` its
+total. No sum uses builtin ``sum``, whose float addition differs between
+interpreters.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 
@@ -255,11 +258,11 @@ def _weight_blocks(pd: PathDiagram, unbranched: tuple | None = None):
     relabels it with that entry's row index. Partial weights are one
     ``(2, rows, rest)`` array, both parts with the newest index on axis 1,
     so every step's inner loop runs along the long trailing axis. One
-    transpose per block, of both parts at once, puts the layers after the
-    head oldest-first, then the input, then the output, so that a path's
-    position in the block, taken modulo the number of (input, output)
-    pairs, names its pair, and each pair's paths come in lexicographic
-    order.
+    transpose per block, of both parts at once and of the axes longer than 1
+    only, puts the layers after the head oldest-first, then the input, then
+    the output, so that a path's position in the block, taken modulo the
+    number of (input, output) pairs, names its pair, and each pair's paths
+    come in lexicographic order.
 
     A step is ``w[0] * P + w[1] * Q`` on the ``_parts`` of the entries,
     ``re*br + im*(-bi), re*bi + im*br``: one multiply, of ``w`` against
@@ -277,9 +280,12 @@ def _weight_blocks(pd: PathDiagram, unbranched: tuple | None = None):
     h = pd.n_layers - 1
     while h > 0 and math.prod(ways[h - 1 :]) * len(ins) <= _BLOCK:
         h -= 1
-    # Axis a of a block's shape is layer L-1-a's index, and its last axis, m, is the input's.
-    shape, m = [*ways[h:][::-1], len(ins)], pd.n_layers - h
+    # Axis 0 of a block's shape holds the parts, axis a > 0 layer L-a's index, and its last axis, m+1, the input's.
+    shape, m = [2, *ways[h:][::-1], len(ins)], pd.n_layers - h
     order = (0, *range(m, 1, -1), m + 1, 1)
+    # An axis of length 1 moves no path, so it is left out: numpy allows at most 64 axes.
+    kept = [a for a, n in enumerate(shape) if n > 1]
+    shape, order = [shape[a] for a in kept], [kept.index(a) for a in order if a in kept]
     # steps[t]: the steps layer t can take in a block; a head layer that branches has one per index.
     steps = [[one] if one is not None else [slice(k, k + 1) for k in ks] if t < h else [slice(ks.start, ks.stop)]
              for t, (ks, one) in enumerate(zip(ranges, unbranched))]
@@ -296,7 +302,7 @@ def _weight_blocks(pd: PathDiagram, unbranched: tuple | None = None):
                 x, prevs = w[:, None] * pq[:, :, prevs, None], to[prevs]
             # x[0] is w[0] * P and x[1] is w[1] * Q, with the new rows on axis 2.
             w = np.add(*x.reshape(2, 2, x.shape[2], -1))
-        yield w.reshape(2, *shape).transpose(order).reshape(2, -1)
+        yield w.reshape(shape).transpose(order).reshape(2, -1)
 
 
 def _accumulate(carry, weights) -> np.ndarray:
@@ -334,6 +340,17 @@ def _running_sums(pd: PathDiagram, w: int, unbranched: tuple | None = None):
         yield weights, run.reshape(2, -1)
 
 
+def _weights(pd: PathDiagram) -> list[complex]:
+    """Every path's weight as a Python complex, in path order and bit for bit.
+
+    Each block becomes one complex array, a view of its two parts stacked
+    side by side, and one ``tolist``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks = [np.stack(w, axis=1).view(complex).ravel().tolist() for w, _ in _running_sums(pd, 1)]
+    return list(chain.from_iterable(blocks))
+
+
 def enumerate_paths(pd: PathDiagram) -> list[Path]:
     """All paths through the diagram in lexicographic index order.
 
@@ -342,13 +359,7 @@ def enumerate_paths(pd: PathDiagram) -> list[Path]:
     there are d**L. Zero-weight paths are included. The input must be pinned.
     """
     _one_input(pd, "enumerate_paths")
-    weights = (
-        complex(a, b)
-        for (re, im), _ in _running_sums(pd, 1)
-        for a, b in zip(re.tolist(), im.tolist())
-    )
-    with np.errstate(over="ignore", invalid="ignore"):
-        return [Path(k, w) for k, w in zip(product(*_ranges(pd)), weights)]
+    return list(map(Path, product(*_ranges(pd)), _weights(pd)))
 
 
 def path_sum_amplitude(pd: PathDiagram, output_index: int) -> complex:
@@ -454,10 +465,11 @@ def interference_report(pd: PathDiagram, output_index: int) -> InterferenceRepor
     _one_input(pd, "interference_report")
     tol = linalg.AGREE_TOL
     pinned = _pinned(pd, output=output_index)
-    paths = tuple(enumerate_paths(pinned))
+    weights = _weights(pinned)
+    paths = tuple(map(Path, product(*_ranges(pinned)), weights))
     total = path_sum_amplitude(pinned, pinned.output)
     magnitude = abs(total)
-    magnitudes = np.reshape([abs(p.weight) for p in paths], (-1, 1))
+    magnitudes = np.reshape(list(map(abs, weights)), (-1, 1))
     with np.errstate(over="ignore", invalid="ignore"):
         weight_sum = float(_accumulate([[0.0]], magnitudes)[-1, 0])
     if magnitude <= tol and weight_sum > tol:
@@ -503,21 +515,24 @@ class LabDiagram:
         each layer, paired with the product of its edge weights; these
         correspond one to one with the FREE-output path enumeration.
         """
-        successors: dict[str, list[tuple[str, int, complex]]] = {}
+        # Each node's out-edges as (branch, weight, the next node's out-edges, or None at a sink).
+        successors: dict[str, list[tuple[int, complex, list | None]]] = {src: [] for src, _, _ in self.edges}
         for src, dst, w in self.edges:
-            successors.setdefault(src, []).append((dst, _branch_of(dst), w))
-        start = f"L1_k{self.input}"
+            successors[src].append((_branch_of(dst), w, successors.get(dst)))
         walks: list[tuple[tuple[int, ...], complex]] = []
 
-        def descend(node_id: str, indices: tuple[int, ...], weight: complex) -> None:
-            nexts = successors.get(node_id)
-            if not nexts:
-                walks.append((indices, weight))
-                return
-            for dst, branch, w in nexts:
-                descend(dst, indices + (branch,), weight * w)
+        def descend(nexts: list, indices: tuple[int, ...], weight: complex) -> None:
+            for branch, w, after in nexts:
+                if after:
+                    descend(after, indices + (branch,), weight * w)
+                else:
+                    walks.append((indices + (branch,), weight * w))
 
-        descend(start, (), 1 + 0j)
+        start = successors.get(f"L1_k{self.input}")
+        if start:
+            descend(start, (), 1 + 0j)
+        else:
+            walks.append(((), 1 + 0j))
         return walks
 
 

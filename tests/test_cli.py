@@ -355,13 +355,34 @@ class TestPathsListing:
         ]
         assert_listing_matches_oracle(doc, 0, None)
 
+    @pytest.mark.parametrize("d", [11, 12])
     @pytest.mark.parametrize("output", [None, 10])
-    def test_two_digit_indices(self, output):
-        rng = np.random.default_rng(11)
-        layers = [rng.standard_normal((11, 11)) + 1j * rng.standard_normal((11, 11)) for _ in range(3)]
+    def test_two_digit_indices(self, d, output):
+        rng = np.random.default_rng(d)
+        layers = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(3)]
         doc = circuit_doc(layers)
         assert_listing_matches_oracle(doc, 7, output)
-        assert listing(doc, 7, output).splitlines()[-1].startswith("10,10,10 ")
+        last = d - 1 if output is None else output
+        assert listing(doc, 7, output).splitlines()[-1].startswith(f"{d - 1},{d - 1},{last} ")
+
+    @pytest.mark.parametrize("block", [1, 7, 2**14])
+    @pytest.mark.parametrize("output", [None, 0])
+    @pytest.mark.parametrize("d,L", [(1, 1), (3, 1), (1, 2), (3, 2), (12, 2), (2, 5), (11, 3)])
+    def test_keys_from_heads_and_tails(self, monkeypatch, block, output, d, L):
+        # A key is its first L//2 indices (none when L = 1), then the rest, across blocks of any size.
+        monkeypatch.setattr(pathsum, "_BLOCK", block)
+        rng = np.random.default_rng(d * L)
+        doc = circuit_doc([rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(L)])
+        assert_listing_matches_oracle(doc, d // 2, output)
+
+    def test_over_the_cap_exits_before_any_key_is_built(self):
+        # 2**64 paths: even the table of the last 32 indices would hold 2**32 keys.
+        doc = circuit_doc([np.eye(2)] * 64)
+        with mock.patch.object(cli, "product", side_effect=AssertionError("key text built")):
+            with pytest.raises(cli.CommandError) as exc:
+                cli.run_command(doc, "paths", {"circuit": "c", "input": 0})
+        assert exc.value.exit_code == cli.EXIT_CAP
+        assert str(exc.value) == "diagram has 18446744073709551616 paths, exceeding the cap of 1000000"
 
     @pytest.mark.parametrize("layers,message", [
         # Three factors of 1e120 overflow a weight, first on path 41 of 64: block 10, offset 1.
@@ -382,7 +403,12 @@ class TestPathsListing:
         ([[[0, 1], [1, 0]], np.ones((2, 2)), [[1, 1], [1e200, 1e200]], [[1, 1], [1e200, 1e200]]],
          "path 1,0,1,1 overflows double precision: "
          "weight inf 0.00000000000e+00, running sum inf 0.00000000000e+00"),
-    ], ids=["weight", "running sum", "imaginary part", "after a permutation"])
+        # d = 3: only paths 2,...,2 overflow, the first path 164 of 243: block 41, key head 2,0,.
+        ([[[1, 1, 1], [1, 1, 1], [1e200, 1e200, 1e200]], *[np.ones((3, 3))] * 3,
+          [[1, 1, 1], [1, 1, 1], [1e200, 1e200, 1e200]]],
+         "path 2,0,0,0,2 overflows double precision: "
+         "weight inf 0.00000000000e+00, running sum inf 0.00000000000e+00"),
+    ], ids=["weight", "running sum", "imaginary part", "after a permutation", "later head"])
     def test_overflow_in_a_later_block_is_named(self, monkeypatch, layers, message):
         monkeypatch.setattr(pathsum, "_BLOCK", 4)
         doc = circuit_doc(layers)

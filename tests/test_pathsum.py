@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpath import cli, dsl, linalg, pathsum
-from qpath.formatting import sci12
+from qpath.formatting import pair12, sci12
 from qpath.measure import HADAMARD, MIRROR
 from qpath.pathsum import (
     FREE,
@@ -698,7 +698,146 @@ class TestAgreement:
         assert str(exc.value) == message
 
 
+def block_weights(pd):
+    """Each weight as ``complex(re, im)`` of the float parts ``_weight_blocks`` yields, in path order."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [complex(a, b) for re, im in pathsum._weight_blocks(pd) for a, b in zip(re.tolist(), im.tolist())]
+
+
+class TestPathValues:
+    """``enumerate_paths`` and ``interference_report`` take each block's complexes in one pass."""
+
+    def assert_weights_are_the_block_parts(self, pd):
+        assert exact(p.weight for p in enumerate_paths(pd)) == exact(block_weights(pd))
+        for j in range(pd.dim):
+            report = interference_report(pd, j)
+            assert exact(p.weight for p in report.paths) == exact(block_weights(pathsum._pinned(pd, output=j)))
+
+    def test_signed_zeros_infinities_and_nans(self):
+        first, second = np.array([[1e200, 1], [1, -1]]), np.array([[1e200, -1], [-1e200, 1]])
+        pd = PathDiagram(2, (first, second, -MIRROR), 0)
+        weights = np.array(block_weights(pd))
+        parts = np.concatenate((weights.real, weights.imag))
+        assert {np.inf, -np.inf} <= set(parts.tolist()) and np.isnan(parts).any()
+        assert (np.signbit(parts) & (parts == 0)).any()
+        self.assert_weights_are_the_block_parts(pd)
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_weights_are_the_block_parts_property(self, data):
+        d = data.draw(st.integers(1, 4), label="d")
+        L = data.draw(st.integers(1, 5), label="L")
+        layers = [data.draw(column_layer(d), label=f"layer {t}") for t in range(L)]
+        i = data.draw(st.integers(0, d - 1), label="input")
+        output = data.draw(st.one_of(st.none(), st.integers(0, d - 1)), label="output")
+        block = data.draw(st.sampled_from([1, 7, 2**14]), label="block")
+        with mock.patch.object(pathsum, "_BLOCK", block):
+            self.assert_weights_are_the_block_parts(PathDiagram(d, tuple(layers), i, output))
+
+
+class TestManyLayers:
+    """A block leaves out its axes of length 1, so no number of layers meets numpy's limit of 64 axes."""
+
+    @pytest.mark.parametrize("L", [63, 64, 70, 200])
+    def test_dimension_one_gives_the_scalar_product(self, L, tmp_path, capsys):
+        rng = np.random.default_rng(L)
+        entries = (0.9 + 0.2 * rng.random(L)) * np.exp(2j * np.pi * rng.random(L))
+        weight = 1 + 0j
+        for c in entries.tolist():
+            weight *= c
+        pd = PathDiagram(1, tuple(np.reshape(entries, (L, 1, 1))), 0)
+        paths = enumerate_paths(pd)
+        assert [p.indices for p in paths] == [(0,) * L]
+        assert exact(p.weight for p in paths) == exact([weight])
+        assert exact([path_sum_amplitude(pd, 0)]) == exact([weight])
+        report = interference_report(pd, 0)
+        assert exact([report.total, *(p.weight for p in report.paths)]) == exact([weight, weight])
+        assert agreement(PathDiagram(1, pd.layers, FREE)).ok
+
+        source = tmp_path / "chain.qpd"
+        gates = "".join(f"gate G{t} = [[{dsl.format_complex(c)}]]\n" for t, c in enumerate(entries.tolist()))
+        source.write_text(f"dim 1\n{gates}circuit c = {' '.join(f'G{t}' for t in range(L))}\n")
+        assert cli.main(["paths", str(source), "--circuit", "c", "--input", "0"]) == cli.EXIT_OK
+        key = ",".join(["0"] * L)
+        assert capsys.readouterr().out == f"{key} {pair12(weight)} {pair12(weight)}\n"
+        assert cli.main(["verify", str(source), "--circuit", "c"]) == cli.EXIT_OK
+        assert capsys.readouterr().out.startswith("PASS max_deviation ")
+
+    def test_layers_that_do_not_branch(self, monkeypatch):
+        # Sums skip the 66 X layers' zeros, so all but the last of them add an axis of length 1.
+        monkeypatch.setattr(pathsum, "DEFAULT_PATH_CAP", 2**70)
+        layers = (HADAMARD, *(MIRROR,) * 66)
+        u = composition_matrix(PathDiagram(2, layers, FREE))
+        result = agreement(PathDiagram(2, layers, FREE))
+        assert (result.ok, result.deviation) == (True, 0.0)
+        for i, j in product(range(2), repeat=2):
+            assert path_sum_amplitude(PathDiagram(2, layers, i), j) == u[j, i]
+        doc = dsl.Document(dim=2, gates={"H": HADAMARD, "X": MIRROR}, circuits={"c": ("H", *("X",) * 66)})
+        assert cli.run_command(doc, "verify", {"circuit": "c"}) == ("PASS max_deviation 0.00000000000e+00\n", 0)
+
+
+def reference_walks(lab):
+    """The recursion ``input_walks`` replaced: one call per node, a walk appended at a node without out-edges."""
+    successors = {}
+    for src, dst, w in lab.edges:
+        successors.setdefault(src, []).append((dst, pathsum._branch_of(dst), w))
+    walks = []
+
+    def descend(node_id, indices, weight):
+        nexts = successors.get(node_id)
+        if not nexts:
+            walks.append((indices, weight))
+            return
+        for dst, branch, w in nexts:
+            descend(dst, indices + (branch,), weight * w)
+
+    descend(f"L1_k{lab.input}", (), 1 + 0j)
+    return walks
+
+
+@st.composite
+def ragged_lab_diagram(draw):
+    """A DAG in the lab diagram's node ids whose nodes keep any subset of their edges, in any order."""
+    d = draw(st.integers(1, 3), label="d")
+    L = draw(st.integers(1, 4), label="L")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    edges = []
+    for t in range(1, L + 1):
+        for b in range(d):
+            for k in range(d):
+                if rng.random() < 0.6:
+                    dst = f"L{t + 1}_k{k}" if t < L and rng.random() < 0.8 else f"D{k}"
+                    edges.append((f"L{t}_k{b}", dst, complex(*rng.standard_normal(2))))
+    edges = [edges[n] for n in rng.permutation(len(edges))]
+    return pathsum.LabDiagram(d, draw(st.integers(0, d - 1), label="input"), L, (), tuple(edges))
+
+
+def walk_values(walks):
+    return [(indices, repr(weight)) for indices, weight in walks]
+
+
 class TestLabDiagram:
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_walks_equal_the_reference_recursion_property(self, data):
+        d = data.draw(st.integers(1, 4), label="d")
+        L = data.draw(st.integers(1, 5), label="L")
+        layers = [data.draw(column_layer(d), label=f"layer {t}") for t in range(L)]
+        lab = emit_lab_diagram(PathDiagram(d, tuple(layers), data.draw(st.integers(0, d - 1), label="input")))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert walk_values(lab.input_walks()) == walk_values(reference_walks(lab))
+
+    @settings(max_examples=60)
+    @given(lab=ragged_lab_diagram())
+    def test_ragged_walks_equal_the_reference_recursion_property(self, lab):
+        assert walk_values(lab.input_walks()) == walk_values(reference_walks(lab))
+
+    @pytest.mark.parametrize("edges", [(), (("prep", "L1_k0", 1 + 0j), ("L1_k0", "D0", 2 + 0j))],
+                             ids=["no edges", "edges elsewhere"])
+    def test_start_without_out_edges_is_one_empty_walk(self, edges):
+        lab = pathsum.LabDiagram(2, 1, 1, (), edges)
+        assert lab.input_walks() == reference_walks(lab) == [((), 1 + 0j)]
+
     def test_node_and_edge_counts(self):
         for d, L in ((2, 3), (3, 2), (2, 1), (4, 4)):
             rng = np.random.default_rng(d * 10 + L)
